@@ -1,13 +1,20 @@
-//! Ledger toolbox: inspect, migrate and compact run ledgers without
-//! running a campaign.
+//! Ledger toolbox: inspect, dump, import and compact run ledgers
+//! without running a campaign.
 //!
 //! ```sh
-//! # Inspect: format, row count, health, per-shard breakdown. Always a
+//! # Inspect: row count, health, per-shard breakdown. Always a
 //! # read-only load — `stat` on a live campaign is safe.
 //! cargo run --release -p soma-bench --bin ledger -- stat target/lab/fig2.ledger
 //!
-//! # Migrate between formats (v1/v2 JSONL <-> binary v3). The target
-//! # must not exist; the source is never touched.
+//! # Print the JSONL view: one v2 line per row, in append order. Also
+//! # read-only. A row whose frame rotted on disk is an error naming its
+//! # hash (exit 2), never a panic.
+//! cargo run --release -p soma-bench --bin ledger -- dump target/lab/fig2.ledger
+//!
+//! # Import a v1/v2 JSONL ledger file from before v3 into a fresh
+//! # ledger directory. One way only (`dump` is the way back); the
+//! # target must not exist, the source is only read, and lines that do
+//! # not parse are skipped and counted.
 //! cargo run --release -p soma-bench --bin ledger -- \
 //!     migrate target/lab/fig2.jsonl target/lab/fig2.ledger
 //!
@@ -16,65 +23,71 @@
 //! cargo run --release -p soma-bench --bin ledger -- compact target/lab/fig2.ledger
 //! ```
 //!
-//! Exit codes: `0` ok, `2` usage or I/O error.
+//! Exit codes: `0` ok, `2` usage or I/O error, or a damaged row in
+//! `dump`.
 
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
 use soma_bench::lab::Ledger;
-use soma_spec::LedgerFormat;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ledger stat <path> | ledger migrate <src> <dst> | ledger compact <path> \
-         | ledger --version"
+        "usage: ledger stat <dir> | ledger dump <dir> | ledger migrate <file.jsonl> <dir> \
+         | ledger compact <dir> | ledger --version"
     );
     ExitCode::from(2)
 }
 
+/// Read-only load, or the exit code of a failed one.
+fn load_readonly(path: &Path) -> Result<Ledger, ExitCode> {
+    Ledger::load_readonly(path).map_err(|e| {
+        eprintln!("ledger: {}: {e}", path.display());
+        ExitCode::from(2)
+    })
+}
+
 fn stat(path: &Path) -> ExitCode {
-    let ledger = match Ledger::load_readonly(path) {
+    let ledger = match load_readonly(path) {
         Ok(ledger) => ledger,
-        Err(e) => {
-            eprintln!("ledger: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
-    let h = ledger.health();
     println!("ledger:     {}", path.display());
-    println!("format:     {}", ledger.format());
     println!("rows:       {}", ledger.len());
-    println!(
-        "health:     {} kept, {} quarantined, truncated: {}, {} duplicate(s)",
-        h.kept, h.quarantined, h.truncated, h.duplicates
-    );
-    if ledger.format() == LedgerFormat::Binary {
-        for (shard, sh) in ledger.shard_healths().iter().enumerate() {
-            if sh.kept == 0 && sh.quarantined == 0 && !sh.truncated {
-                continue;
-            }
-            println!(
-                "shard-{shard:x}:    {} kept, {} quarantined, truncated: {}",
-                sh.kept, sh.quarantined, sh.truncated
-            );
+    println!("health:     {}", ledger.health());
+    for (shard, sh) in ledger.shard_healths().iter().enumerate() {
+        if sh.kept > 0 || !sh.is_clean() {
+            println!("shard-{shard:x}:    {sh}");
         }
-    }
-    if !h.is_clean() {
-        println!("quarantine: {}", soma_spec::quarantine_path(path).display());
     }
     ExitCode::SUCCESS
+}
+
+fn dump(path: &Path) -> ExitCode {
+    let ledger = match load_readonly(path) {
+        Ok(ledger) => ledger,
+        Err(code) => return code,
+    };
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    match ledger.dump(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("ledger: dump {}: {e}", path.display());
+            ExitCode::from(2)
+        }
+    }
 }
 
 fn migrate(src: &Path, dst: &Path) -> ExitCode {
     match Ledger::migrate(src, dst) {
         Ok(stats) => {
             eprintln!(
-                "[ledger] migrated {} row(s): {} ({}) -> {} ({})",
+                "[ledger] imported {} row(s) from {} into {} ({} unparseable line(s) skipped)",
                 stats.rows,
                 src.display(),
-                stats.from,
                 dst.display(),
-                stats.to
+                stats.skipped
             );
             ExitCode::SUCCESS
         }
@@ -120,6 +133,7 @@ fn main() -> ExitCode {
     }
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
         ["stat", path] => stat(Path::new(path)),
+        ["dump", path] => dump(Path::new(path)),
         ["migrate", src, dst] => migrate(Path::new(src), Path::new(dst)),
         ["compact", path] => compact(Path::new(path)),
         _ => usage(),

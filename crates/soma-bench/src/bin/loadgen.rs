@@ -232,8 +232,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let pid = std::process::id();
-            let ledger = dir.join(format!("{pid}.jsonl"));
-            let _ = std::fs::remove_file(&ledger);
+            let ledger = dir.join(format!("{pid}.ledger"));
+            let _ = std::fs::remove_dir_all(&ledger);
             let config = ServerConfig {
                 max_inflight: flags.clients.max(1),
                 ..ServerConfig::new(Listen::Unix(dir.join(format!("{pid}.sock"))), &ledger)

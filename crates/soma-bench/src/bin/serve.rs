@@ -8,7 +8,7 @@
 //! ```sh
 //! cargo run --release -p soma-bench --bin serve -- --listen unix:/tmp/soma.sock
 //! cargo run --release -p soma-bench --bin serve -- \
-//!     --listen tcp:127.0.0.1:7777 --ledger runs/serve.jsonl \
+//!     --listen tcp:127.0.0.1:7777 --ledger runs/serve.ledger \
 //!     --max-inflight 4 --budget 2000000
 //! ```
 //!
@@ -36,7 +36,7 @@ use soma_spec::fault::{FaultConfig, FaultPlan};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: serve --listen <unix:PATH|tcp:HOST:PORT> [--ledger <path>] \
+        "usage: serve --listen <unix:PATH|tcp:HOST:PORT> [--ledger <dir>] \
          [--max-inflight N] [--budget N] [--threads <auto|seq|N>] [--chaos <seed>] [--version]"
     );
     ExitCode::from(2)
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     }
 
     let mut listen: Option<Listen> = None;
-    let mut ledger = PathBuf::from("target/serve/ledger.jsonl");
+    let mut ledger = PathBuf::from("target/serve/ledger");
     let mut max_inflight = 8usize;
     let mut budget = 0u64;
     let mut parallelism = Parallelism::Auto;
@@ -122,14 +122,7 @@ fn main() -> ExitCode {
     );
     let health = handle.ledger_health();
     if !health.is_clean() || health.duplicates > 0 {
-        eprintln!(
-            "[serve] ledger repair: {} row(s) quarantined{}, {} duplicate hash(es) \
-             (last write wins); see {}",
-            health.quarantined,
-            if health.truncated { ", torn tail dropped" } else { "" },
-            health.duplicates,
-            soma_spec::quarantine_path(&ledger).display()
-        );
+        eprintln!("[serve] ledger repair ({}): {health}", ledger.display());
     }
     if let Some(seed) = chaos {
         eprintln!("[serve] CHAOS MODE: injecting deterministic faults (seed {seed})");

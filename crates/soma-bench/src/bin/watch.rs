@@ -3,8 +3,9 @@
 //!
 //! ```sh
 //! # Replay a finished campaign: final cell grid, hit-rate line,
-//! # per-scenario best-cost table. The ledger may be a binary shard
-//! # directory (`<name>.ledger`) or a JSONL file (`<name>.jsonl`).
+//! # per-scenario best-cost table. The ledger is the campaign's shard
+//! # directory (`<name>.ledger`); a JSONL ledger file from before v3
+//! # must first be imported with `ledger migrate`.
 //! cargo run --release -p soma-bench --bin watch -- target/lab/fig-pair-edge.ledger
 //!
 //! # Attach to a running lab: ANSI repaint loop tailing the ledger.
@@ -128,12 +129,11 @@ fn parse_flags() -> Result<Flags, ExitCode> {
     }
 }
 
-/// Default campaign name: the ledger's file stem, minus a `.ledger`
-/// suffix if present (`runs/fig.ledger.jsonl` → `fig`), so names match
-/// the `lab` convention of `<campaign>.jsonl`.
+/// Default campaign name: the ledger directory's stem
+/// (`runs/fig.ledger` → `fig`), matching the `lab` convention of
+/// `<campaign>.ledger`.
 fn campaign_name(ledger: &Path) -> String {
-    let stem = ledger.file_stem().and_then(|s| s.to_str()).unwrap_or("campaign");
-    stem.strip_suffix(".ledger").unwrap_or(stem).to_string()
+    ledger.file_stem().and_then(|s| s.to_str()).unwrap_or("campaign").to_string()
 }
 
 /// Replays `ledger` rows into a fresh model, pre-queueing the spec's

@@ -10,10 +10,11 @@
 //!   the on-disk **run ledger** are served from it without any search
 //!   work ([`LabEvent::Cached`]).
 //! * **Resumable** — each completed cell is appended to the ledger (one
-//!   JSON line per cell) *in cell order* as soon as all earlier cells
-//!   have been written, so an interrupted run leaves a valid prefix and
-//!   a rerun picks up exactly where it stopped. A partially written
-//!   trailing line (a kill mid-append) is detected and dropped on load.
+//!   checksummed frame per cell) *in cell order* as soon as all earlier
+//!   cells have been written, so an interrupted run leaves a valid
+//!   prefix and a rerun picks up exactly where it stopped. A partially
+//!   written trailing frame (a kill mid-append) is detected and dropped
+//!   on load.
 //!   The final ledger of an interrupted-then-resumed run is
 //!   byte-identical to an uninterrupted one.
 //! * **Parallel with deterministic merge** — cell searches that miss the
@@ -143,8 +144,8 @@ impl InOrderFlush<'_, '_> {
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger, or corrupt non-trailing
-/// ledger lines.
+/// I/O errors loading or appending the ledger, or a `ledger_path` that
+/// is not a ledger directory (a file, or a `.jsonl` path).
 pub fn run_lab(
     spec: &ExperimentSpec,
     ledger_path: &Path,
@@ -170,8 +171,7 @@ pub fn run_lab(
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger, or corrupt non-trailing
-/// ledger lines.
+/// As [`run_lab`].
 pub fn run_lab_until(
     spec: &ExperimentSpec,
     ledger_path: &Path,
@@ -388,6 +388,7 @@ pub fn run_lab_chaos(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::fs;
     use std::path::PathBuf;
 
@@ -397,17 +398,38 @@ mod tests {
     const SPEC: &str = "soma-experiment v1\nname t\nscenario fig2@edge/b1\nseeds 7\n\
                         effort 0.01\nend\n";
 
+    /// A fresh (removed) ledger directory path.
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("soma-lab-unit");
         fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(format!("{}-{name}", std::process::id()))
+        let path = dir.join(format!("{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&path);
+        path
+    }
+
+    /// Every file of a ledger directory, by name — `diff -r` as a value.
+    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .expect("ledger dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).expect("file"))
+            })
+            .collect()
+    }
+
+    /// The shard files of a ledger directory (everything but the
+    /// disposable index and the marker).
+    fn shards(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let mut files = dir_bytes(dir);
+        files.retain(|name, _| name.starts_with("shard-"));
+        files
     }
 
     #[test]
     fn ledger_round_trips_rows() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("roundtrip.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("roundtrip.ledger");
         let first = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((first.hits, first.misses), (0, 1));
 
@@ -420,62 +442,65 @@ mod tests {
         let row_out = row.outcome().expect("resident outcome");
         assert_eq!(row_out.best.cost.to_bits(), first.rows[0].outcome.best.cost.to_bits());
         // Line rendering is stable through a parse cycle.
-        let line = row.to_line();
-        assert_eq!(LedgerRow::from_line(&line).unwrap().to_line(), line);
+        let line = row.to_line().unwrap();
+        assert_eq!(LedgerRow::from_line(&line).unwrap().to_line().unwrap(), line);
     }
 
     #[test]
     fn second_run_is_all_hits() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("hits.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("hits.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
-        let before = fs::read(&path).unwrap();
+        let before = dir_bytes(&path);
 
         let mut events = Vec::new();
         let warm = run_lab(&spec, &path, |ev| events.push(ev.clone())).unwrap();
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert!(events.iter().any(|e| matches!(e, LabEvent::Cached { .. })));
         assert!(!events.iter().any(|e| matches!(e, LabEvent::Started { .. })));
-        assert_eq!(fs::read(&path).unwrap(), before, "a warm run never writes");
+        assert_eq!(dir_bytes(&path), before, "a warm run never writes");
     }
 
     #[test]
     fn torn_trailing_line_is_dropped_and_repaired() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("torn.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("torn.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
-        let intact = fs::read(&path).unwrap();
+        let intact = dir_bytes(&path);
 
-        // Tear the tail off the only line: the ledger must load empty...
-        fs::write(&path, &intact[..intact.len() / 2]).unwrap();
+        // Tear the only frame in half, as a kill mid-append of a first
+        // run leaves it (no index yet): the ledger must load empty...
+        let (name, bytes) = shards(&path).into_iter().next().expect("one shard");
+        let shard = path.join(&name);
+        fs::write(&shard, &bytes[..8 + (bytes.len() - 8) / 2]).unwrap();
+        fs::remove_file(path.join("index.bin")).unwrap();
         let ledger = Ledger::load(&path).unwrap();
         assert!(ledger.is_empty());
-        assert_eq!(fs::read(&path).unwrap().len(), 0, "torn tail truncated");
+        assert!(ledger.health().truncated);
+        assert_eq!(fs::read(&shard).unwrap(), b"SOMALED3", "torn tail truncated");
 
-        // ...and a rerun reproduces the intact file byte-for-byte.
+        // ...and a rerun reproduces the intact directory byte-for-byte.
         let again = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((again.hits, again.misses), (0, 1));
-        assert_eq!(fs::read(&path).unwrap(), intact);
+        assert_eq!(dir_bytes(&path), intact);
     }
 
     #[test]
     fn corrupt_interior_lines_are_quarantined_and_the_run_proceeds() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("corrupt.jsonl");
-        let qpath = soma_spec::quarantine_path(&path);
-        let _ = fs::remove_file(&qpath);
-        fs::write(&path, "garbage\n{\"v\":1}\n").unwrap();
+        let path = tmp("corrupt.ledger");
+        fs::create_dir_all(&path).unwrap();
+        fs::write(path.join("shard-0.bin"), b"SOMALED3garbage\n{\"v\":1}\n").unwrap();
 
-        // The damaged rows move to the sidecar instead of aborting;
+        // The damaged region goes to the sidecar instead of aborting;
         // the lab just sees an empty (clean) ledger and runs cold.
         let summary = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((summary.hits, summary.misses, summary.failed), (0, 1, 0));
-        assert_eq!(fs::read_to_string(&qpath).unwrap(), "garbage\n{\"v\":1}\n");
+        let q = fs::read_to_string(soma_spec::quarantine_path(&path)).unwrap();
+        assert_eq!(q.lines().count(), 1, "{q}");
+        assert!(q.contains("\"hex\":\"67617262616765"), "the damaged bytes are kept: {q}");
         assert_eq!(Ledger::load(&path).unwrap().len(), 1);
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        let _ = fs::remove_dir_all(&path);
     }
 
     #[test]
@@ -485,8 +510,7 @@ mod tests {
                     scenario fig4@edge/b1\nscenario fig2@edge/b4\nseeds 7\n\
                     effort 0.01\nthreads seq\nend\n";
         let spec = read_experiment(text).unwrap();
-        let path = tmp("panic.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("panic.ledger");
 
         let plan = Arc::new(FaultPlan::scripted([(fault::site::LAB_CELL, 1, Fault::Panic)]));
         let mut events = Vec::new();
@@ -527,8 +551,7 @@ mod tests {
         let text = "soma-experiment v1\nname dup\nscenario fig2@edge/b1\n\
                     scenario fig2@edge/b1\nseeds 7\neffort 0.01\nend\n";
         let spec = read_experiment(text).unwrap();
-        let path = tmp("dup.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("dup.ledger");
 
         let mut events = Vec::new();
         let cold = run_lab(&spec, &path, |ev| events.push(ev.clone())).unwrap();
@@ -553,14 +576,12 @@ mod tests {
                     effort 0.01\nthreads seq\nend\n";
         let spec = read_experiment(text).unwrap();
 
-        let golden_path = tmp("stop-golden.jsonl");
-        let _ = fs::remove_file(&golden_path);
+        let golden_path = tmp("stop-golden.ledger");
         run_lab(&spec, &golden_path, |_| {}).unwrap();
-        let golden = fs::read(&golden_path).unwrap();
+        let golden = dir_bytes(&golden_path);
 
         // Raise the stop flag the moment the first cell finishes.
-        let path = tmp("stop.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("stop.ledger");
         let stop = AtomicBool::new(false);
         let summary = run_lab_until(&spec, &path, &stop, |ev| {
             if matches!(ev, LabEvent::Finished { .. }) {
@@ -573,24 +594,25 @@ mod tests {
         assert_eq!(summary.rows.len(), 1, "only known outcomes are reported");
 
         // The interrupted ledger is a clean, loadable prefix of the
-        // uninterrupted one...
+        // uninterrupted one: every shard is a byte prefix of its
+        // counterpart...
         assert_eq!(Ledger::load(&path).unwrap().len(), 1);
-        let partial = fs::read(&path).unwrap();
-        assert!(golden.starts_with(&partial), "interrupted ledger is a byte prefix");
+        for (name, partial) in shards(&path) {
+            assert!(golden[&name].starts_with(&partial), "{name} is not a byte prefix");
+        }
 
         // ...and a rerun resumes from it, byte-identical to a run that
         // was never interrupted.
         let resumed = run_lab(&spec, &path, |_| {}).unwrap();
         assert!(!resumed.stopped);
         assert_eq!((resumed.hits, resumed.misses), (1, 2));
-        assert_eq!(fs::read(&path).unwrap(), golden);
+        assert_eq!(dir_bytes(&path), golden);
     }
 
     #[test]
     fn config_changes_miss_the_ledger() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("invalidate.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("invalidate.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
 
         let retuned = read_experiment(&SPEC.replace("effort 0.01", "effort 0.02")).unwrap();

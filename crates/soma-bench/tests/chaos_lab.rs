@@ -21,10 +21,13 @@ const SPEC: &str = "soma-experiment v1\nname chaos\n\
                     scenario fig4@edge/b1\nscenario fig4@edge/b2\nscenario fig2@edge/b1\n\
                     seeds 11\neffort 0.01\nthreads seq\nend\n";
 
+/// A fresh (removed) ledger directory path.
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("soma-chaos-lab");
     fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{}-{name}", std::process::id()))
+    let path = dir.join(format!("{}-{name}", std::process::id()));
+    let _ = fs::remove_dir_all(&path);
+    path
 }
 
 #[test]
@@ -33,18 +36,14 @@ fn chaos_campaigns_converge_to_the_faultless_ledger() {
     let stop = AtomicBool::new(false);
 
     // The reference: the same spec, never faulted.
-    let ref_path = tmp("reference.jsonl");
-    let _ = fs::remove_file(&ref_path);
+    let ref_path = tmp("reference.ledger");
     let reference = run_lab_until(&spec, &ref_path, &stop, |_| {}).unwrap();
     assert_eq!((reference.hits, reference.misses, reference.failed), (0, 3, 0));
     let reference = Ledger::load(&ref_path).unwrap();
 
     let mut saw_failure = false;
     for plan_seed in [7u64, 0xC0FFEE] {
-        let path = tmp(&format!("storm-{plan_seed}.jsonl"));
-        let qpath = soma_spec::quarantine_path(&path);
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        let path = tmp(&format!("storm-{plan_seed}.ledger"));
         let plan = Arc::new(FaultPlan::seeded(plan_seed, FaultConfig::CHAOS));
 
         let mut rounds = 0;
@@ -77,14 +76,18 @@ fn chaos_campaigns_converge_to_the_faultless_ledger() {
             let key = cell_key(&cell, &spec.config, &spec.seeds);
             let got = ledger.lookup(&key).unwrap_or_else(|| panic!("{} missing", cell.id));
             let want = reference.lookup(&key).expect("reference has every cell");
-            assert_eq!(got.to_line(), want.to_line(), "{} drifted under chaos", cell.id);
+            assert_eq!(
+                got.to_line().unwrap(),
+                want.to_line().unwrap(),
+                "{} drifted under chaos",
+                cell.id
+            );
         }
 
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        let _ = fs::remove_dir_all(&path);
     }
     assert!(saw_failure, "no seed exercised panic isolation");
-    let _ = fs::remove_file(&ref_path);
+    let _ = fs::remove_dir_all(&ref_path);
 }
 
 /// A previously-flushed row survives any later chaos round: rows the
@@ -95,14 +98,11 @@ fn chaos_campaigns_converge_to_the_faultless_ledger() {
 fn previously_flushed_rows_survive_later_chaos_rounds() {
     let spec = read_experiment(SPEC).unwrap();
     let stop = AtomicBool::new(false);
-    let path = tmp("survive.jsonl");
-    let qpath = soma_spec::quarantine_path(&path);
-    let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(&qpath);
+    let path = tmp("survive.ledger");
 
     run_lab_until(&spec, &path, &stop, |_| {}).unwrap();
     let before: Vec<String> =
-        Ledger::load(&path).unwrap().rows().iter().map(|r| r.to_line()).collect();
+        Ledger::load(&path).unwrap().rows().iter().map(|r| r.to_line().unwrap()).collect();
     assert_eq!(before.len(), 3);
 
     for plan_seed in 0..8u64 {
@@ -114,9 +114,8 @@ fn previously_flushed_rows_survive_later_chaos_rounds() {
         assert_eq!((summary.hits, summary.misses, summary.failed), (3, 0, 0));
     }
     let after: Vec<String> =
-        Ledger::load(&path).unwrap().rows().iter().map(|r| r.to_line()).collect();
+        Ledger::load(&path).unwrap().rows().iter().map(|r| r.to_line().unwrap()).collect();
     assert_eq!(before, after, "cached rounds must never disturb flushed rows");
 
-    let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(&qpath);
+    let _ = fs::remove_dir_all(&path);
 }

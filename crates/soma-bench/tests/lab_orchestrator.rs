@@ -8,15 +8,19 @@
 //!   `Scheduler` portfolio per cell), so the set uses the registry's
 //!   small figure workloads across *all* presets and batches, plus one
 //!   real CNN as a depth probe, keeping the suite fast.
-//! * **Resume** — an interrupted run (ledger truncated mid-spec) that is
-//!   rerun must produce a ledger byte-identical to an uninterrupted run,
-//!   serving the surviving prefix from the ledger (`LabEvent::Cached`,
-//!   never `Started`) without re-searching it.
+//! * **Resume** — an interrupted run (stopped after its first cell, or
+//!   killed mid-append of its second) that is rerun must produce a
+//!   ledger directory byte-identical to an uninterrupted run, serving
+//!   the surviving prefix from the ledger (`LabEvent::Cached`, never
+//!   `Started`) without re-searching it — whether or not the index
+//!   sidecar survived the interruption.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use soma_bench::{run_experiment, run_lab, ExperimentRow, LabEvent, Ledger};
+use soma_bench::{run_experiment, run_lab, run_lab_until, ExperimentRow, LabEvent, Ledger};
 use soma_search::{Evaluated, Parallelism, SearchConfig};
 use soma_spec::registry::scenarios;
 use soma_spec::{read_experiment, ExperimentSpec};
@@ -27,8 +31,19 @@ fn tmp(name: &str) -> PathBuf {
 
 fn fresh(name: &str) -> PathBuf {
     let path = tmp(name);
-    let _ = fs::remove_file(&path);
+    let _ = fs::remove_dir_all(&path);
     path
+}
+
+/// Every file of a ledger directory, by name — `diff -r` as a value.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .expect("ledger dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).expect("file"))
+        })
+        .collect()
 }
 
 fn assert_evaluated_eq(cell: &str, which: &str, a: &Evaluated, b: &Evaluated) {
@@ -78,7 +93,7 @@ fn lab_matches_sequential_run_experiment_bit_for_bit() {
     let spec = differential_spec();
     let sequential = run_experiment(&spec, |_| {});
 
-    let ledger_path = fresh("differential.ledger.jsonl");
+    let ledger_path = fresh("differential.ledger");
     let cold = run_lab(&spec, &ledger_path, |_| {}).expect("cold lab run");
     assert_eq!((cold.hits, cold.misses), (0, spec.cells().len()));
     assert_rows_eq(&sequential, &cold.rows);
@@ -111,19 +126,19 @@ fn multithreaded_lab_ledger_is_byte_identical_to_sequential() {
     // of order under Fixed(4); the in-order flusher must still append
     // rows in cell order, and every outcome must be bit-identical.
     let golden_spec = differential_spec();
-    let golden_path = fresh("threads-golden.ledger.jsonl");
+    let golden_path = fresh("threads-golden.ledger");
     let golden = run_lab(&golden_spec, &golden_path, |_| {}).expect("sequential golden run");
-    let golden_bytes = fs::read(&golden_path).expect("golden ledger");
+    let golden_bytes = dir_bytes(&golden_path);
 
     for par in [Parallelism::Fixed(2), Parallelism::Fixed(4)] {
         let mut spec = differential_spec();
         spec.parallelism = par;
-        let path = fresh(&format!("threads-{par}.ledger.jsonl"));
+        let path = fresh(&format!("threads-{par}.ledger"));
         let got = run_lab(&spec, &path, |_| {}).expect("parallel lab run");
         assert_eq!((got.hits, got.misses), (0, spec.cells().len()), "{par}: all cold");
         assert_rows_eq(&golden.rows, &got.rows);
         assert_eq!(
-            fs::read(&path).expect("parallel ledger"),
+            dir_bytes(&path),
             golden_bytes,
             "{par}: ledger bytes diverged from the sequential golden"
         );
@@ -137,76 +152,108 @@ fn fig_pair() -> ExperimentSpec {
     read_experiment(&text).expect("committed spec parses")
 }
 
+/// Runs `spec` sequentially into a fresh ledger and stops it the moment
+/// its first cell lands — the state a kill between cells leaves, with
+/// or without the index sidecar the stopped run wrote.
+fn interrupted_after_first_cell(spec: &ExperimentSpec, name: &str, keep_index: bool) -> PathBuf {
+    let path = fresh(name);
+    let spec = ExperimentSpec { parallelism: Parallelism::Sequential, ..spec.clone() };
+    let stop = AtomicBool::new(false);
+    let summary = run_lab_until(&spec, &path, &stop, |ev| {
+        if matches!(ev, LabEvent::Finished { .. }) {
+            stop.store(true, Ordering::SeqCst);
+        }
+    })
+    .expect("run to interrupt");
+    assert_eq!((summary.stopped, summary.misses), (true, 1));
+    if !keep_index {
+        fs::remove_file(path.join("index.bin")).expect("index written by the stopped run");
+    }
+    path
+}
+
 #[test]
 fn interrupted_run_resumes_to_a_byte_identical_ledger() {
     let spec = fig_pair();
 
     // Reference: one uninterrupted run.
-    let intact_path = fresh("resume-intact.ledger.jsonl");
+    let intact_path = fresh("resume-intact.ledger");
     let intact = run_lab(&spec, &intact_path, |_| {}).expect("uninterrupted run");
     assert_eq!((intact.hits, intact.misses), (0, 2));
-    let intact_bytes = fs::read(&intact_path).expect("intact ledger");
+    let intact_bytes = dir_bytes(&intact_path);
 
-    // "Interrupt" a second run after its first cell: truncate the ledger
-    // to its first line (exactly what a kill between cells leaves).
-    let resumed_path = fresh("resume-cut.ledger.jsonl");
-    run_lab(&spec, &resumed_path, |_| {}).expect("run to interrupt");
-    let full = fs::read_to_string(&resumed_path).expect("ledger");
-    let first_line_end = full.find('\n').expect("at least one row") + 1;
-    fs::write(&resumed_path, &full.as_bytes()[..first_line_end]).expect("truncate");
+    for keep_index in [false, true] {
+        let resumed_path = interrupted_after_first_cell(
+            &spec,
+            &format!("resume-cut-{keep_index}.ledger"),
+            keep_index,
+        );
 
-    // Resume. The surviving cell must be served from the ledger (Cached,
-    // never Started => not re-searched), the lost cell re-run.
-    let mut events = Vec::new();
-    let resumed = run_lab(&spec, &resumed_path, |ev| events.push(ev.clone())).expect("resume");
-    assert_eq!((resumed.hits, resumed.misses), (1, 1));
-    let first = &spec.cells()[0].id;
-    let second = &spec.cells()[1].id;
-    assert!(
-        events.iter().any(|e| matches!(e, LabEvent::Cached { cell, .. } if cell == first)),
-        "surviving cell served from the ledger: {events:?}"
-    );
-    assert!(
-        !events.iter().any(|e| matches!(e, LabEvent::Started { cell } if cell == first)),
-        "surviving cell must not be re-searched: {events:?}"
-    );
-    assert!(
-        events.iter().any(|e| matches!(e, LabEvent::Started { cell } if cell == second)),
-        "lost cell re-runs: {events:?}"
-    );
+        // Resume. The surviving cell must be served from the ledger
+        // (Cached, never Started => not re-searched), the lost cell re-run.
+        let mut events = Vec::new();
+        let resumed = run_lab(&spec, &resumed_path, |ev| events.push(ev.clone())).expect("resume");
+        assert_eq!((resumed.hits, resumed.misses), (1, 1));
+        let first = &spec.cells()[0].id;
+        let second = &spec.cells()[1].id;
+        assert!(
+            events.iter().any(|e| matches!(e, LabEvent::Cached { cell, .. } if cell == first)),
+            "surviving cell served from the ledger: {events:?}"
+        );
+        assert!(
+            !events.iter().any(|e| matches!(e, LabEvent::Started { cell } if cell == first)),
+            "surviving cell must not be re-searched: {events:?}"
+        );
+        assert!(
+            events.iter().any(|e| matches!(e, LabEvent::Started { cell } if cell == second)),
+            "lost cell re-runs: {events:?}"
+        );
 
-    // The resumed ledger is byte-identical to the uninterrupted one.
-    assert_eq!(fs::read(&resumed_path).expect("resumed ledger"), intact_bytes);
-    assert_rows_eq(&intact.rows, &resumed.rows);
+        // The resumed ledger is byte-identical to the uninterrupted one.
+        assert_eq!(dir_bytes(&resumed_path), intact_bytes, "index kept: {keep_index}");
+        assert_rows_eq(&intact.rows, &resumed.rows);
+    }
 }
 
 #[test]
 fn kill_mid_append_resumes_cleanly() {
-    // Harsher interruption: the ledger is cut mid-line (a torn write).
+    // Harsher interruption: the second cell's frame is cut mid-write
+    // (a torn append) after the first cell landed.
     let spec = fig_pair();
-    let intact_path = fresh("torn-intact.ledger.jsonl");
+    let intact_path = fresh("torn-intact.ledger");
     run_lab(&spec, &intact_path, |_| {}).expect("reference run");
-    let intact_bytes = fs::read(&intact_path).expect("intact ledger");
+    let intact_bytes = dir_bytes(&intact_path);
 
-    let torn_path = fresh("torn-cut.ledger.jsonl");
-    run_lab(&spec, &torn_path, |_| {}).expect("run to tear");
-    let full = fs::read(&torn_path).expect("ledger");
-    let first_line_end = full.iter().position(|&b| b == b'\n').expect("row") + 1;
-    // Keep the first complete row plus half of the second.
-    let cut = first_line_end + (full.len() - first_line_end) / 2;
-    fs::write(&torn_path, &full[..cut]).expect("tear");
+    for keep_index in [false, true] {
+        let torn_path = interrupted_after_first_cell(
+            &spec,
+            &format!("torn-cut-{keep_index}.ledger"),
+            keep_index,
+        );
+        // The shard the second cell's frame goes to gets half of it
+        // (after the shard header, if the shard is new).
+        let partial = dir_bytes(&torn_path);
+        let (name, full) = intact_bytes
+            .iter()
+            .find(|(name, bytes)| name.starts_with("shard-") && partial.get(*name) != Some(bytes))
+            .expect("the second cell's shard");
+        let base = partial.get(name).map_or(8, Vec::len);
+        let cut = base + (full.len() - base) / 2;
+        fs::write(torn_path.join(name), &full[..cut]).expect("tear");
 
-    let resumed = run_lab(&spec, &torn_path, |_| {}).expect("resume after tear");
-    assert_eq!((resumed.hits, resumed.misses), (1, 1), "torn row dropped, complete row kept");
-    assert_eq!(fs::read(&torn_path).expect("repaired ledger"), intact_bytes);
+        let resumed = run_lab(&spec, &torn_path, |_| {}).expect("resume after tear");
+        assert_eq!((resumed.hits, resumed.misses), (1, 1), "torn row dropped, complete row kept");
+        assert!(resumed.health.truncated, "the torn frame was seen and dropped");
+        assert_eq!(dir_bytes(&torn_path), intact_bytes, "index kept: {keep_index}");
+    }
 }
 
 #[test]
 fn rerunning_a_finished_spec_does_zero_search_work() {
     let spec = fig_pair();
-    let path = fresh("replay.ledger.jsonl");
+    let path = fresh("replay.ledger");
     run_lab(&spec, &path, |_| {}).expect("cold run");
-    let bytes = fs::read(&path).expect("ledger");
+    let bytes = dir_bytes(&path);
 
     let mut events = Vec::new();
     let warm = run_lab(&spec, &path, |ev| events.push(ev.clone())).expect("warm run");
@@ -218,5 +265,5 @@ fn rerunning_a_finished_spec_does_zero_search_work() {
         2,
         "{events:?}"
     );
-    assert_eq!(fs::read(&path).expect("ledger"), bytes, "a replay never writes");
+    assert_eq!(dir_bytes(&path), bytes, "a replay never writes");
 }

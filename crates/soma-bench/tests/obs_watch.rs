@@ -1,6 +1,7 @@
 //! Observability end-to-end: the `watch` binary's headless replay frame
 //! and machine-readable campaign summary over the **committed** golden
-//! ledger are pinned byte-for-byte, and a live campaign (events observed
+//! ledger (its JSONL view, imported into a ledger directory once per
+//! run) are pinned byte-for-byte, and a live campaign (events observed
 //! as `run_lab` emits them) must render exactly the same final frame as
 //! an offline replay of the ledger it wrote.
 //!
@@ -13,6 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use soma_bench::lab::Ledger;
 use soma_bench::run_lab;
@@ -55,9 +57,19 @@ fn assert_golden(got: &[u8], golden: &str) {
     );
 }
 
-/// The committed campaign ledger every offline test replays.
+/// The committed campaign ledger every offline test replays, imported
+/// from its JSONL golden into a `fig_pair_edge.ledger` directory (the
+/// name `watch` derives the campaign name from).
 fn committed_ledger() -> PathBuf {
-    golden_path("fig_pair_edge.ledger.jsonl")
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = tmp(&format!("committed-{}", std::process::id())).join("fig_pair_edge.ledger");
+        let _ = fs::remove_dir_all(&dir);
+        Ledger::migrate(&golden_path("fig_pair_edge.ledger.jsonl"), &dir)
+            .expect("the golden imports");
+        dir
+    })
+    .clone()
 }
 
 fn watch(args: &[&str]) -> std::process::Output {
@@ -164,7 +176,7 @@ fn gantt_drilldown_renders_from_the_ledger() {
     assert!(chart.contains("BUFFER"), "{chart}");
 
     // A unique hash prefix resolves to the same row.
-    let rows = Ledger::load(&ledger).unwrap();
+    let rows = Ledger::load_readonly(&ledger).unwrap();
     let hash = rows.rows().iter().find(|r| r.cell == "fig2@edge/b1").unwrap().hash.clone();
     let by_hash = watch(&[ledger.to_str().unwrap(), "--gantt", &hash[..8], "--width", "60"]);
     assert!(by_hash.status.success());
@@ -186,8 +198,8 @@ fn live_event_stream_matches_offline_replay() {
     )
     .expect("committed spec");
     let spec = read_experiment(&spec_text).expect("spec parses");
-    let ledger_path = tmp("obs-watch-live.jsonl");
-    let _ = fs::remove_file(&ledger_path);
+    let ledger_path = tmp("obs-watch-live.ledger");
+    let _ = fs::remove_dir_all(&ledger_path);
 
     let mut live = WatchModel::new();
     run_lab(&spec, &ledger_path, |ev| live.observe(ev)).expect("lab runs");

@@ -19,13 +19,13 @@
 //!   act on. The budget check is a coarse upfront estimate of schedule
 //!   evaluations, so an oversized request is refused before it burns a
 //!   core for minutes.
-//! * **The ledger is the cache** ([`soma_spec::ledger`]) — results are
-//!   keyed by the same content hash the lab orchestrator uses; a repeat
-//!   request is answered bit-identically from disk with `cached: true`
-//!   and zero search work, and every fresh result is flushed to the
-//!   ledger *before* the result frame goes out, so the cache grows
-//!   across requests and daemon restarts — and a ledger warmed by `lab`
-//!   serves the daemon, and vice versa.
+//! * **The ledger is the cache** ([`soma_spec::ledger`], a binary shard
+//!   directory) — results are keyed by the same content hash the lab
+//!   orchestrator uses; a repeat request is answered bit-identically
+//!   from disk with `cached: true` and zero search work, and every
+//!   fresh result is flushed to the ledger *before* the result frame
+//!   goes out, so the cache grows across requests and daemon restarts
+//!   — and a ledger warmed by `lab` serves the daemon, and vice versa.
 //! * **Graceful shutdown** ([`shutdown`]) — SIGINT/SIGTERM flip one
 //!   atomic flag; accept and connection loops poll it between frames,
 //!   in-flight searches finish and flush, new submits get
@@ -43,7 +43,7 @@
 //!
 //! let handle = start(ServerConfig::new(
 //!     "tcp:127.0.0.1:0".parse::<Listen>().unwrap(),
-//!     "runs/serve.jsonl",
+//!     "runs/serve.ledger",
 //! ))
 //! .unwrap();
 //! let mut client = Client::connect(handle.listen()).unwrap();

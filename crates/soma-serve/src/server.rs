@@ -191,7 +191,9 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// I/O errors binding the socket or loading a damaged ledger.
+/// I/O errors binding the socket or loading the ledger, including
+/// [`io::ErrorKind::InvalidInput`] for a ledger path that is a file or
+/// ends in `.jsonl` (the message names `ledger migrate`).
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let mut ledger = Ledger::load(&config.ledger_path)?;
     let health = ledger.health();

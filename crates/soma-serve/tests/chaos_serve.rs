@@ -39,9 +39,8 @@ fn quick(id: &str, seed: u64, deadline_ms: Option<u64>) -> SubmitRequest {
 }
 
 fn server(name: &str, faults: Option<Arc<FaultPlan>>) -> (soma_serve::ServerHandle, PathBuf) {
-    let ledger = tmp(&format!("{name}.jsonl"));
-    let _ = fs::remove_file(&ledger);
-    let _ = fs::remove_file(quarantine_path(&ledger));
+    let ledger = tmp(&format!("{name}.ledger"));
+    let _ = fs::remove_dir_all(&ledger);
     let handle = start(ServerConfig { faults, ..ServerConfig::new(unix_listen(name), &ledger) })
         .expect("daemon starts");
     (handle, ledger)
@@ -173,11 +172,18 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     assert!(cold.succeeded());
     handle.shutdown();
 
-    // Corruption lands while the daemon is down: a garbage row plus a
-    // torn half-row at the tail (the SIGKILL-mid-append signature).
-    let good = fs::read_to_string(&ledger_path).unwrap();
-    let torn = &good[..good.len() / 3];
-    fs::write(&ledger_path, format!("{good}this is not a ledger row\n{torn}")).unwrap();
+    // Corruption lands while the daemon is down: a garbage region plus
+    // a torn third of a frame at the tail of the row's shard (the
+    // SIGKILL-mid-append signature).
+    let shard = fs::read_dir(&ledger_path)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("shard-")))
+        .expect("the row's shard");
+    let good = fs::read(&shard).unwrap();
+    let frame = &good[8..];
+    let torn = &frame[..frame.len() / 3];
+    fs::write(&shard, [&good[..], b"this is not a ledger row\n", torn].concat()).unwrap();
 
     // Daemon B: repairs on load, reports it, and still serves the
     // surviving row warm and bit-identical.
@@ -199,11 +205,11 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     );
     handle.shutdown();
 
-    // The quarantined row is preserved for the post-mortem.
+    // The quarantined bytes are preserved (hex) for the post-mortem.
     let q = fs::read_to_string(quarantine_path(&ledger_path)).unwrap();
-    assert!(q.contains("not a ledger row"), "{q}");
-    let _ = fs::remove_file(&ledger_path);
-    let _ = fs::remove_file(quarantine_path(&ledger_path));
+    let hex: String = b"not a ledger row".iter().map(|b| format!("{b:02x}")).collect();
+    assert!(q.contains(&hex), "{q}");
+    let _ = fs::remove_dir_all(&ledger_path);
 }
 
 #[test]

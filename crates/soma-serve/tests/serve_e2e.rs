@@ -35,8 +35,8 @@ fn quick(id: &str, scenario: &str, seed: u64) -> SubmitRequest {
 
 #[test]
 fn eight_concurrent_submits_then_bit_identical_cache_hits() {
-    let ledger_path = tmp("concurrent.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = tmp("concurrent.ledger");
+    let _ = std::fs::remove_dir_all(&ledger_path);
     let handle = start(ServerConfig {
         max_inflight: 8,
         ..ServerConfig::new(unix_listen("concurrent"), &ledger_path)
@@ -103,7 +103,7 @@ fn eight_concurrent_submits_then_bit_identical_cache_hits() {
 
 #[test]
 fn ping_reports_engine_and_protocol_versions() {
-    let ledger_path = tmp("ping.jsonl");
+    let ledger_path = tmp("ping.ledger");
     let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), &ledger_path)).unwrap();
     let mut client = Client::connect(handle.listen()).unwrap();
     let (engine, protocol) = client.ping().unwrap();
@@ -114,8 +114,8 @@ fn ping_reports_engine_and_protocol_versions() {
 
 #[test]
 fn oversized_requests_get_a_typed_budget_reject() {
-    let ledger_path = tmp("budget.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = tmp("budget.ledger");
+    let _ = std::fs::remove_dir_all(&ledger_path);
     let handle = start(ServerConfig {
         max_evals: 1,
         ..ServerConfig::new(unix_listen("budget"), &ledger_path)
@@ -132,8 +132,8 @@ fn oversized_requests_get_a_typed_budget_reject() {
 
 #[test]
 fn saturated_server_refuses_with_queue_full() {
-    let ledger_path = tmp("queue.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = tmp("queue.ledger");
+    let _ = std::fs::remove_dir_all(&ledger_path);
     let handle = start(ServerConfig {
         max_inflight: 1,
         ..ServerConfig::new(unix_listen("queue"), &ledger_path)
@@ -184,8 +184,8 @@ fn inline_network_specs_schedule_and_cache() {
         deadline_ms: None,
     };
 
-    let ledger_path = tmp("inline.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = tmp("inline.ledger");
+    let _ = std::fs::remove_dir_all(&ledger_path);
     let handle = start(ServerConfig::new(unix_listen("inline"), &ledger_path)).unwrap();
     let mut client = Client::connect(handle.listen()).unwrap();
 
@@ -205,7 +205,7 @@ fn inline_network_specs_schedule_and_cache() {
 
 #[test]
 fn bad_requests_and_bad_frames_are_typed_not_fatal() {
-    let ledger_path = tmp("bad.jsonl");
+    let ledger_path = tmp("bad.ledger");
     let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), &ledger_path)).unwrap();
 
     // An unknown scenario is a typed bad-request reject.
@@ -234,8 +234,8 @@ fn bad_requests_and_bad_frames_are_typed_not_fatal() {
 
 #[test]
 fn shutdown_drains_and_the_ledger_replays_across_restarts() {
-    let ledger_path = tmp("restart.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = tmp("restart.ledger");
+    let _ = std::fs::remove_dir_all(&ledger_path);
 
     // First daemon: one cold request, then a graceful stop.
     let handle = start(ServerConfig::new(unix_listen("restart-a"), &ledger_path)).unwrap();
@@ -262,7 +262,7 @@ fn shutdown_drains_and_the_ledger_replays_across_restarts() {
 
 #[test]
 fn draining_server_rejects_new_submits_as_shutting_down() {
-    let ledger_path = tmp("draining.jsonl");
+    let ledger_path = tmp("draining.ledger");
     let handle = start(ServerConfig::new(unix_listen("draining"), &ledger_path)).unwrap();
     let listen = handle.listen().clone();
     // Connect first, then start draining: the established connection

@@ -1,39 +1,37 @@
 //! The on-disk **run ledger**: a content-addressed result cache mapping
 //! cell hashes to losslessly persisted [`SearchOutcome`]s.
 //!
-//! Two on-disk formats share one API (format generation
-//! [`LEDGER_VERSION`] = 3, specified in `specs/LEDGER.md`):
+//! A ledger is written in one format (format generation
+//! [`LEDGER_VERSION`] = 3, specified in `specs/LEDGER.md`): a
+//! *directory* of 16 shard files (`shard-0.bin` … `shard-f.bin`, keyed
+//! by the first hex digit of the cell hash so concurrent writers never
+//! contend on one file), each holding length-prefixed, checksummed
+//! frames, plus a disposable `index.bin` sidecar carrying every row's
+//! metadata and frame location. A load that finds the index in sync
+//! with the shard files builds the whole lookup table **without reading
+//! a single frame** — outcomes decode lazily on first access — which is
+//! what makes resume and cache lookup O(cells-missing) instead of
+//! O(cells-done).
 //!
-//! * **Binary, sharded** (the default for new ledgers): the ledger is a
-//!   *directory* of 16 shard files (`shard-0.bin` … `shard-f.bin`,
-//!   keyed by the first hex digit of the cell hash so concurrent
-//!   writers never contend on one file), each holding length-prefixed,
-//!   checksummed frames, plus a disposable `index.bin` sidecar carrying
-//!   every row's metadata and frame location. A load that finds the
-//!   index in sync with the shard files builds the whole lookup table
-//!   **without reading a single frame** — outcomes decode lazily on
-//!   first access — which is what makes resume and cache lookup
-//!   O(cells-missing) instead of O(cells-done).
-//! * **JSONL** (format v2 rows, the human-readable debug surface —
-//!   `lab --ledger-format json`): one JSON line per row, `crc`-first.
-//!   v1 rows (no `crc`) are migrated on read. Paths ending in `.jsonl`
-//!   load as JSONL; directories load as binary.
+//! JSONL (row version [`JSONL_VERSION`]) is a *view*, never a ledger:
+//! [`LedgerRow::to_line`] renders one row as its v2 line (`ledger
+//! dump`), and [`Ledger::migrate`] imports a v1/v2 JSONL file from
+//! before v3 into a fresh directory (`ledger migrate`). Loading a file,
+//! or a `.jsonl` path, is refused with [`io::ErrorKind::InvalidInput`].
 //!
-//! **Crash safety and self-validation** (both formats):
+//! **Crash safety and self-validation**:
 //!
-//! * Every row carries an FNV-1a 64 checksum, so silent corruption (a
+//! * Every frame carries an FNV-1a 64 checksum, so silent corruption (a
 //!   flipped bit that still parses) is caught, not replayed.
-//! * A partially written trailing row — the signature of a process
+//! * A partially written trailing frame — the signature of a process
 //!   killed mid-append — is dropped and truncated away **in place**
-//!   (`set_len` + fsync); a torn tail on a gigabyte ledger no longer
-//!   costs a whole-file rewrite.
-//! * A corrupt row anywhere else quarantines: the damaged bytes move to
-//!   a sidecar (`<name>.quarantine.jsonl` next to a JSONL ledger,
-//!   `quarantine.jsonl` inside a binary ledger directory) and the
-//!   damaged file is compacted crash-safely (write temp + rename).
-//!   Every valid row survives; [`Ledger::health`] reports exactly what
-//!   happened. Loading a quarantine sidecar *as* a ledger is refused —
-//!   it would re-quarantine its own contents.
+//!   (`set_len` + fsync); a torn tail on a gigabyte shard never costs a
+//!   whole-file rewrite.
+//! * A corrupt frame anywhere else quarantines: a record of the damaged
+//!   bytes goes to the `quarantine.jsonl` sidecar inside the ledger
+//!   directory and the damaged shard is compacted crash-safely (write
+//!   temp + rename). Every valid row survives; [`Ledger::health`]
+//!   reports exactly what happened.
 //! * Duplicate-hash rows are **last-write-wins**: all copies stay (the
 //!   ledger is append-only history), lookups resolve to the newest, and
 //!   [`LedgerHealth::duplicates`] counts the shadowed ones.
@@ -69,12 +67,13 @@ use crate::fault::{self, Fault, FaultPlan};
 use crate::hash::cell_hash_hex;
 use crate::ExperimentCell;
 
-/// Ledger **format generation**. v3 is the binary sharded format; the
-/// JSONL debug surface stays at row version [`JSONL_VERSION`].
+/// Ledger **format generation**: v3 is the binary sharded format, the
+/// only one a ledger is written in.
 pub const LEDGER_VERSION: u64 = 3;
 
-/// Row version of the JSONL (debug) surface. v2 added the per-row
-/// `crc` checksum; v1 rows (no `crc`) are migrated on read.
+/// Row version of the JSONL view (`ledger dump` output and the import
+/// format of `ledger migrate`). v2 added the per-row `crc` checksum; v1
+/// rows (no `crc`) are still accepted on import.
 pub const JSONL_VERSION: u64 = 2;
 
 /// Number of shard files in a binary ledger directory (one per first
@@ -120,42 +119,27 @@ fn shard_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:x}.bin"))
 }
 
-/// The two on-disk ledger formats behind the one [`Ledger`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LedgerFormat {
-    /// One JSON line per row — the debug/quarantine surface.
-    Jsonl,
-    /// A directory of checksummed binary shard files plus an index
-    /// sidecar — the default for new ledgers.
-    Binary,
-}
-
-impl LedgerFormat {
-    /// Detects the format of the ledger at `path`: an existing
-    /// directory is binary, an existing file is JSONL, and a missing
-    /// path goes by its extension (`.jsonl` → JSONL, anything else →
-    /// binary).
-    pub fn detect(path: &Path) -> Self {
-        if path.is_dir() {
-            LedgerFormat::Binary
-        } else if path.is_file() || path.extension().is_some_and(|e| e == "jsonl") {
-            LedgerFormat::Jsonl
-        } else {
-            LedgerFormat::Binary
-        }
+/// Refuses every path that cannot be a ledger directory: an existing
+/// non-directory (a pre-v3 JSONL ledger, a quarantine sidecar) or a
+/// `.jsonl` path, which would otherwise become a directory of that
+/// name.
+fn check_ledger_dir(path: &Path) -> io::Result<()> {
+    let is_file = fs::metadata(path).is_ok_and(|m| !m.is_dir());
+    if is_file || path.extension().is_some_and(|e| e == "jsonl") {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} is not a ledger directory; import a JSONL ledger with \
+                 `ledger migrate {} <dir>`",
+                path.display(),
+                path.display()
+            ),
+        ));
     }
+    Ok(())
 }
 
-impl std::fmt::Display for LedgerFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LedgerFormat::Jsonl => "jsonl",
-            LedgerFormat::Binary => "binary",
-        })
-    }
-}
-
-/// Where a row's frame sits on disk (binary format only).
+/// Where a row's frame sits on disk.
 #[derive(Debug, Clone, Copy)]
 struct FrameLoc {
     shard: u8,
@@ -195,8 +179,8 @@ impl LazyOutcome {
     }
 }
 
-/// A row's outcome: resident (JSONL loads, freshly appended rows) or
-/// lazy (binary loads — decoded on first access).
+/// A row's outcome: resident (freshly appended or imported rows) or
+/// lazy (loaded rows — decoded on first access).
 #[derive(Debug, Clone)]
 enum Payload {
     Resident(Arc<SearchOutcome>),
@@ -227,8 +211,8 @@ pub struct LedgerRow {
     pub platform: String,
     /// Batch size.
     pub batch: u32,
-    /// Engine version that produced the row. Empty for rows recorded
-    /// before v3 (the JSONL surface does not store it); compaction
+    /// Engine version that produced the row. Empty for rows imported
+    /// from a pre-v3 JSONL ledger (which does not store it); compaction
     /// drops rows from a different, non-empty engine.
     pub engine: String,
     /// Best cost of the outcome (mirrors `outcome.best.cost`).
@@ -240,8 +224,8 @@ pub struct LedgerRow {
     /// Global append order — what keeps merged shard rows in the same
     /// order the campaign wrote them.
     seq: u64,
-    /// Frame location on disk, when the row came from (or went to) a
-    /// binary shard.
+    /// Frame location on disk, once the row came from (or went to) a
+    /// shard.
     loc: Option<FrameLoc>,
     payload: Payload,
 }
@@ -281,7 +265,7 @@ impl LedgerRow {
     }
 
     /// The row's full outcome. Resident rows return it directly; lazy
-    /// rows (binary loads) decode their frame payload on first access
+    /// rows (loaded from disk) decode their frame payload on first access
     /// and memoise. `None` means the payload on disk is corrupt —
     /// damage is an absent outcome, never a panic.
     pub fn outcome(&self) -> Option<&SearchOutcome> {
@@ -332,16 +316,22 @@ impl LedgerRow {
         o
     }
 
-    /// Renders the row as its single-line JSONL entry (no trailing
-    /// newline), `crc` first. Deterministic: equal rows render
-    /// byte-identically.
+    /// Renders the row as its single-line v2 JSONL entry (no trailing
+    /// newline), `crc` first — the `ledger dump` view. Deterministic:
+    /// equal rows render byte-identically.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the row's lazily loaded outcome payload is corrupt on disk —
-    /// render paths only see rows whose outcomes exist.
-    pub fn to_line(&self) -> String {
-        let outcome = self.outcome().expect("rendering a row with a corrupt outcome payload");
+    /// [`io::ErrorKind::InvalidData`], naming the row's hash, when its
+    /// lazily loaded outcome payload is corrupt on disk (a frame that
+    /// rotted under an index that trusts its shard).
+    pub fn to_line(&self) -> io::Result<String> {
+        let outcome = self.outcome().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("row {} ({}): outcome payload is corrupt on disk", self.hash, self.cell),
+            )
+        })?;
         let payload = self.jsonl_payload(outcome);
         let crc = format!("{:016x}", fnv1a(json::to_string(&payload).bytes()));
         let mut o = Value::obj();
@@ -350,7 +340,7 @@ impl LedgerRow {
         for (k, v) in fields {
             o.push(k, v);
         }
-        json::to_string(&o)
+        Ok(json::to_string(&o))
     }
 
     /// Parses and **verifies** one JSONL ledger line: the embedded
@@ -383,24 +373,24 @@ impl LedgerRow {
         if version != JSONL_VERSION {
             return Err(format!("unsupported ledger version {version}"));
         }
-        Self::from_json_fields(&payload, "")
+        Self::from_json_fields(&payload)
     }
 
-    /// Parses a **v1** JSONL row (the pre-checksum format) — the
-    /// migration-on-read path. Only complete rows migrate; anything
-    /// short of the full field set stays an error (and quarantines).
+    /// Parses a **v1** JSONL row (the pre-checksum format) — accepted
+    /// on import only. Anything short of the full field set stays an
+    /// error (and the import skips it).
     fn from_line_v1(line: &str) -> Result<Self, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         let version = v.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
         if version != 1 {
             return Err(format!("not a v1 row (version {version})"));
         }
-        Self::from_json_fields(&v, "")
+        Self::from_json_fields(&v)
     }
 
     /// Shared field extraction for JSONL rows (v1 and v2 carry the
-    /// same payload fields).
-    fn from_json_fields(v: &Value, engine: &str) -> Result<Self, String> {
+    /// same payload fields, and no engine stamp).
+    fn from_json_fields(v: &Value) -> Result<Self, String> {
         let text = |key: &str| -> Result<String, String> {
             Ok(v.get(key)
                 .and_then(Value::as_str)
@@ -416,7 +406,7 @@ impl LedgerRow {
             workload: text("workload")?,
             platform: text("platform")?,
             batch: u32::try_from(batch).map_err(|_| "batch exceeds u32".to_string())?,
-            engine: engine.to_string(),
+            engine: String::new(),
             best_cost: outcome.best.cost,
             latency_cycles: outcome.best.report.latency_cycles,
             evals: outcome.evals,
@@ -534,24 +524,27 @@ impl LedgerHealth {
     }
 }
 
-/// The quarantine sidecar path of a ledger: `runs/x.jsonl` →
-/// `runs/x.quarantine.jsonl` for a JSONL file, `<dir>/quarantine.jsonl`
-/// for a binary ledger directory.
-pub fn quarantine_path(ledger: &Path) -> PathBuf {
-    if LedgerFormat::detect(ledger) == LedgerFormat::Binary {
-        return ledger.join(QUARANTINE_FILE);
+/// The one-line health report `lab`, `serve` and `ledger stat` print.
+/// The quarantine sidecar is named only when something went to it.
+impl std::fmt::Display for LedgerHealth {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} row(s) kept", self.kept)?;
+        if self.quarantined > 0 {
+            write!(f, ", {} damaged region(s) quarantined to {QUARANTINE_FILE}", self.quarantined)?;
+        }
+        if self.truncated {
+            f.write_str(", torn tail dropped")?;
+        }
+        if self.duplicates > 0 {
+            write!(f, ", {} duplicate hash(es) (last write wins)", self.duplicates)?;
+        }
+        Ok(())
     }
-    let stem = ledger.file_stem().and_then(|s| s.to_str()).unwrap_or("ledger");
-    ledger.with_file_name(format!("{stem}.quarantine.jsonl"))
 }
 
-/// Whether `path` names a quarantine sidecar — which must never be
-/// loaded *as* a ledger (its own quarantine path maps back onto
-/// itself, so a load would re-quarantine its contents in place).
-fn is_quarantine_sidecar(path: &Path) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n == QUARANTINE_FILE || n.ends_with(".quarantine.jsonl"))
+/// The quarantine sidecar of a ledger: `<dir>/quarantine.jsonl`.
+pub fn quarantine_path(ledger: &Path) -> PathBuf {
+    ledger.join(QUARANTINE_FILE)
 }
 
 /// One index sidecar entry: a row's metadata plus its frame location.
@@ -770,28 +763,25 @@ pub struct CompactStats {
     pub dropped_stale_engine: usize,
 }
 
-/// What [`Ledger::migrate`] moved.
+/// What [`Ledger::migrate`] imported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateStats {
-    /// Rows migrated.
+    /// Rows imported.
     pub rows: usize,
-    /// Source format.
-    pub from: LedgerFormat,
-    /// Destination format.
-    pub to: LedgerFormat,
+    /// Source lines that did not parse as a v1/v2 row and were left
+    /// behind (corrupt, torn or foreign).
+    pub skipped: usize,
 }
 
 /// The on-disk run ledger: an append-only store mapping cell content
-/// hashes to persisted [`SearchOutcome`]s, in either format of
-/// [`LedgerFormat`].
+/// hashes to persisted [`SearchOutcome`]s.
 #[derive(Debug)]
 pub struct Ledger {
     path: PathBuf,
-    format: LedgerFormat,
     rows: Vec<LedgerRow>,
     index: HashMap<String, usize>,
     health: LedgerHealth,
-    /// Per-shard health (binary format only; empty for JSONL).
+    /// Per-shard health, one entry per shard.
     shard_health: Vec<LedgerHealth>,
     faults: Option<Arc<FaultPlan>>,
     /// Outcome decodes performed by this ledger's lazy rows — the
@@ -802,20 +792,20 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Loads (or creates the notion of) the ledger at `path`, repairing
-    /// damage. A missing path is an empty ledger of the format
-    /// [`LedgerFormat::detect`] picks.
+    /// Loads (or creates the notion of) the ledger directory at `path`,
+    /// repairing damage. A missing path is an empty ledger; the
+    /// directory is created on first append.
     ///
     /// Recovery is automatic and crash-safe:
     ///
     /// * a partially written trailing row (a kill mid-append) is
     ///   dropped and truncated away in place (`set_len` + fsync — no
     ///   rewrite);
-    /// * corrupt rows anywhere else (checksum mismatch, bad framing,
-    ///   foreign version) move to the quarantine sidecar and the
-    ///   damaged file is compacted via temp-file + rename, so a crash
-    ///   mid-repair leaves either the old or the new file — never a
-    ///   mix;
+    /// * corrupt frames anywhere else (checksum mismatch, bad framing,
+    ///   foreign version) are recorded in the quarantine sidecar and
+    ///   the damaged shard is compacted via temp-file + rename, so a
+    ///   crash mid-repair leaves either the old or the new shard —
+    ///   never a mix;
     /// * duplicate-hash rows all stay; lookups resolve to the newest
     ///   (last-write-wins).
     ///
@@ -827,8 +817,9 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Real I/O errors, or refusing to load a quarantine sidecar as a
-    /// ledger — corruption is repaired, not fatal.
+    /// Real I/O errors, or [`io::ErrorKind::InvalidInput`] for a path
+    /// that is a file or ends in `.jsonl` (the message names `ledger
+    /// migrate`) — corruption is repaired, not fatal.
     pub fn load(path: &Path) -> io::Result<Self> {
         Self::load_impl(path, None, false)
     }
@@ -847,7 +838,7 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Real I/O errors, or a quarantine-sidecar path.
+    /// As [`load`](Self::load).
     pub fn load_readonly(path: &Path) -> io::Result<Self> {
         Self::load_impl(path, None, true)
     }
@@ -866,33 +857,19 @@ impl Ledger {
     }
 
     fn load_impl(path: &Path, faults: Option<Arc<FaultPlan>>, readonly: bool) -> io::Result<Self> {
-        if is_quarantine_sidecar(path) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "refusing to load quarantine sidecar {} as a ledger \
-                     (it would re-quarantine its own contents)",
-                    path.display()
-                ),
-            ));
-        }
-        let format = LedgerFormat::detect(path);
+        check_ledger_dir(path)?;
         let mut ledger = Self {
             path: path.to_path_buf(),
-            format,
             rows: Vec::new(),
             index: HashMap::new(),
             health: LedgerHealth::default(),
-            shard_health: Vec::new(),
+            shard_health: vec![LedgerHealth::default(); SHARDS],
             faults,
             decodes: Arc::new(AtomicU64::new(0)),
             next_seq: 0,
             readonly,
         };
-        match format {
-            LedgerFormat::Jsonl => ledger.load_jsonl()?,
-            LedgerFormat::Binary => ledger.load_binary()?,
-        }
+        ledger.load_shards()?;
         Ok(ledger)
     }
 
@@ -904,101 +881,7 @@ impl Ledger {
         self.rows.push(row);
     }
 
-    fn load_jsonl(&mut self) -> io::Result<()> {
-        let bytes = match fs::read(&self.path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        // Byte-wise line split: bit-rot can break UTF-8 itself, and a
-        // non-UTF-8 line must quarantine like any other corrupt row
-        // without poisoning its neighbours' byte offsets.
-        // Kept line ranges; `true` marks a v1 row migrated on read
-        // (rendered as v2 if a repair rewrite happens).
-        let mut kept_ranges: Vec<(usize, usize, bool)> = Vec::new();
-        let mut quarantined_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut torn_start: Option<usize> = None;
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let Some(off) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-                // Trailing bytes without a newline: a torn trailing
-                // write (the file is always appended line-at-a-time).
-                self.health.truncated = true;
-                torn_start = Some(pos);
-                break;
-            };
-            let range = (pos, pos + off);
-            pos += off + 1;
-            if range.0 == range.1 {
-                continue;
-            }
-            let line = &bytes[range.0..range.1];
-            // v2 first; a failed parse retries as v1 — the
-            // migration-on-read path for pre-checksum ledgers.
-            let parsed = std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(|text| {
-                LedgerRow::from_line(text).map(|row| (row, false)).or_else(|e2| {
-                    LedgerRow::from_line_v1(text).map(|row| (row, true)).map_err(|_| e2)
-                })
-            });
-            match parsed {
-                Ok((mut row, migrated)) => {
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.index_row(row);
-                    kept_ranges.push((range.0, range.1, migrated));
-                }
-                Err(_) => quarantined_ranges.push(range),
-            }
-        }
-        self.health.kept = self.rows.len();
-        self.health.quarantined = quarantined_ranges.len();
-
-        if self.readonly {
-            return Ok(());
-        }
-        if !quarantined_ranges.is_empty() {
-            // Quarantine first, then compact: a crash between the two
-            // leaves the corrupt rows present in both places, and the
-            // next load simply quarantines them again.
-            let qpath = quarantine_path(&self.path);
-            let mut q = fs::OpenOptions::new().create(true).append(true).open(&qpath)?;
-            for &(a, b) in &quarantined_ranges {
-                q.write_all(&bytes[a..b])?;
-                q.write_all(b"\n")?;
-            }
-            q.flush()?;
-            let tmp = self.path.with_extension("jsonl.tmp");
-            {
-                let mut f = fs::File::create(&tmp)?;
-                for (k, &(a, b, migrated)) in kept_ranges.iter().enumerate() {
-                    if migrated {
-                        // Upgrade migrated v1 rows to v2 as we rewrite;
-                        // v2 rows keep their exact on-disk bytes.
-                        f.write_all(self.rows[k].to_line().as_bytes())?;
-                    } else {
-                        f.write_all(&bytes[a..b])?;
-                    }
-                    f.write_all(b"\n")?;
-                }
-                f.flush()?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &self.path)?;
-            if let Some(plan) = &self.faults {
-                plan.observe(fault::site::LEDGER_COMPACT);
-            }
-        } else if let Some(ts) = torn_start {
-            // Only a torn tail: the prefix is intact, so truncate in
-            // place — no temp file, no rewrite, O(1) in ledger size.
-            let f = fs::OpenOptions::new().write(true).open(&self.path)?;
-            f.set_len(ts as u64)?;
-            f.sync_all()?;
-        }
-        Ok(())
-    }
-
-    fn load_binary(&mut self) -> io::Result<()> {
-        self.shard_health = vec![LedgerHealth::default(); SHARDS];
+    fn load_shards(&mut self) -> io::Result<()> {
         if !self.path.exists() {
             return Ok(());
         }
@@ -1105,8 +988,8 @@ impl Ledger {
         }
 
         // Merge shards back into global append order: `seq` is the
-        // campaign's write order, so observers see the same row order
-        // the JSONL surface would give them (summary byte-stability).
+        // campaign's write order, so observers see rows in the order
+        // they were written (summary byte-stability).
         all_rows.sort_by_key(|r| r.seq);
         for row in all_rows {
             self.index_row(row);
@@ -1134,14 +1017,9 @@ impl Ledger {
         self.faults = Some(plan);
     }
 
-    /// The ledger's path (a file for JSONL, a directory for binary).
+    /// The ledger directory.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Which on-disk format this ledger uses.
-    pub fn format(&self) -> LedgerFormat {
-        self.format
     }
 
     /// Whether this ledger was loaded read-only (observer mode).
@@ -1154,7 +1032,7 @@ impl Ledger {
         self.health
     }
 
-    /// Per-shard health (binary format; empty for JSONL ledgers).
+    /// Per-shard health, indexed by shard number.
     pub fn shard_healths(&self) -> &[LedgerHealth] {
         &self.shard_health
     }
@@ -1189,9 +1067,9 @@ impl Ledger {
         self.index.get(hash).map(|&i| &self.rows[i])
     }
 
-    /// Creates the binary ledger directory and its human-readable
-    /// marker on first use.
-    fn ensure_binary_dir(&self) -> io::Result<()> {
+    /// Creates the ledger directory and its human-readable marker on
+    /// first use.
+    fn ensure_dir(&self) -> io::Result<()> {
         if !self.path.exists() {
             fs::create_dir_all(&self.path)?;
         }
@@ -1214,62 +1092,11 @@ impl Ledger {
     /// ones when a [`FaultPlan`] is attached. After an error the
     /// in-memory index is unchanged; the on-disk tail may be torn,
     /// which the next repairing load fixes.
-    pub fn append(&mut self, row: LedgerRow) -> io::Result<()> {
+    pub fn append(&mut self, mut row: LedgerRow) -> io::Result<()> {
         if self.readonly {
             return Err(Self::readonly_err());
         }
-        match self.format {
-            LedgerFormat::Jsonl => self.append_jsonl(row),
-            LedgerFormat::Binary => self.append_binary(row),
-        }
-    }
-
-    fn append_jsonl(&mut self, mut row: LedgerRow) -> io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        row.seq = self.next_seq;
-        let line = row.to_line();
-        let mut f = fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-
-        match self.faults.as_ref().and_then(|p| p.next(fault::site::LEDGER_APPEND)) {
-            Some(Fault::TornWrite { keep_per_mille }) => {
-                // Persist only a prefix, then "crash" the append.
-                let keep = line.len() * usize::from(keep_per_mille) / 1000;
-                f.write_all(&line.as_bytes()[..keep])?;
-                f.flush()?;
-                return Err(io::Error::other("injected fault: torn write"));
-            }
-            Some(Fault::BitFlip { salt }) => {
-                // The write "succeeds" but the medium lies: one bit of
-                // the persisted line is flipped. The row is indexed in
-                // memory (the writer believes it) and only the next
-                // load's checksum pass discovers the damage.
-                let mut bytes = line.clone().into_bytes();
-                fault::flip_bit(&mut bytes, salt);
-                f.write_all(&bytes)?;
-                f.write_all(b"\n")?;
-                f.flush()?;
-            }
-            Some(Fault::FsyncError) => {
-                return Err(io::Error::other("injected fault: fsync failed"));
-            }
-            _ => {
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-                f.flush()?;
-            }
-        }
-        self.next_seq += 1;
-        self.index_row(row);
-        self.health.kept = self.rows.len();
-        Ok(())
-    }
-
-    fn append_binary(&mut self, mut row: LedgerRow) -> io::Result<()> {
-        self.ensure_binary_dir()?;
+        self.ensure_dir()?;
         let payload = row.payload_bytes()?;
         row.seq = self.next_seq;
         let frame = encode_frame(&row, &payload);
@@ -1313,7 +1140,7 @@ impl Ledger {
     }
 
     /// Bulk append: every row in order, with each shard file opened
-    /// once — the fast path for migration and synthetic campaigns.
+    /// once — the fast path for import and synthetic campaigns.
     /// Not fault-instrumented (chaos tests exercise [`append`](Self::append)).
     ///
     /// # Errors
@@ -1323,65 +1150,42 @@ impl Ledger {
         if self.readonly {
             return Err(Self::readonly_err());
         }
-        match self.format {
-            LedgerFormat::Jsonl => {
-                if let Some(dir) = self.path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        fs::create_dir_all(dir)?;
-                    }
+        self.ensure_dir()?;
+        let mut files: HashMap<u8, (fs::File, u64)> = HashMap::new();
+        for mut row in batch {
+            let payload = row.payload_bytes()?;
+            row.seq = self.next_seq;
+            self.next_seq += 1;
+            let frame = encode_frame(&row, &payload);
+            let shard = shard_of(&row.hash);
+            if let std::collections::hash_map::Entry::Vacant(e) = files.entry(shard) {
+                let spath = shard_path(&self.path, usize::from(shard));
+                let fresh = !spath.exists();
+                let mut f = fs::OpenOptions::new().create(true).append(true).open(&spath)?;
+                if fresh {
+                    f.write_all(SHARD_MAGIC)?;
                 }
-                let mut f = fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-                for mut row in batch {
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    f.write_all(row.to_line().as_bytes())?;
-                    f.write_all(b"\n")?;
-                    self.index_row(row);
-                }
-                f.flush()?;
-                f.sync_all()?;
+                let len = f.metadata()?.len();
+                e.insert((f, len));
             }
-            LedgerFormat::Binary => {
-                self.ensure_binary_dir()?;
-                let mut files: HashMap<u8, (fs::File, u64)> = HashMap::new();
-                for mut row in batch {
-                    let payload = row.payload_bytes()?;
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    let frame = encode_frame(&row, &payload);
-                    let shard = shard_of(&row.hash);
-                    if let std::collections::hash_map::Entry::Vacant(e) = files.entry(shard) {
-                        let spath = shard_path(&self.path, usize::from(shard));
-                        let fresh = !spath.exists();
-                        let mut f =
-                            fs::OpenOptions::new().create(true).append(true).open(&spath)?;
-                        if fresh {
-                            f.write_all(SHARD_MAGIC)?;
-                        }
-                        let len = f.metadata()?.len();
-                        e.insert((f, len));
-                    }
-                    let (f, off) = files.get_mut(&shard).expect("just inserted");
-                    f.write_all(&frame)?;
-                    row.loc = Some(FrameLoc { shard, offset: *off, len: frame.len() as u32 });
-                    *off += frame.len() as u64;
-                    self.index_row(row);
-                }
-                for (f, _) in files.values_mut() {
-                    f.flush()?;
-                    f.sync_all()?;
-                }
-            }
+            let (f, off) = files.get_mut(&shard).expect("just inserted");
+            f.write_all(&frame)?;
+            row.loc = Some(FrameLoc { shard, offset: *off, len: frame.len() as u32 });
+            *off += frame.len() as u64;
+            self.index_row(row);
+        }
+        for (f, _) in files.values_mut() {
+            f.flush()?;
+            f.sync_all()?;
         }
         self.health.kept = self.rows.len();
         Ok(())
     }
 
-    /// Rewrites the index sidecar to cover the shards as they stand
-    /// (binary format; a no-op for JSONL). Writers call this at the
-    /// end of a campaign so the next load is O(1) in rows-done. The
-    /// index is a disposable cache — losing it costs a scan, never a
-    /// row.
+    /// Rewrites the index sidecar to cover the shards as they stand.
+    /// Writers call this at the end of a campaign so the next load is
+    /// O(1) in rows-done. The index is a disposable cache — losing it
+    /// costs a scan, never a row.
     ///
     /// # Errors
     ///
@@ -1390,9 +1194,6 @@ impl Ledger {
     pub fn sync_index(&self) -> io::Result<()> {
         if self.readonly {
             return Err(Self::readonly_err());
-        }
-        if self.format == LedgerFormat::Jsonl {
-            return Ok(());
         }
         self.write_index()
     }
@@ -1440,7 +1241,7 @@ impl Ledger {
 
     /// Compacts the ledger: drops shadowed duplicate-hash rows and
     /// rows produced by a different (non-empty, superseded) engine
-    /// version, rewriting every file crash-safely and refreshing the
+    /// version, rewriting every shard crash-safely and refreshing the
     /// index. Surviving rows keep their append order.
     ///
     /// # Errors
@@ -1470,60 +1271,36 @@ impl Ledger {
         }
         stats.kept = keep.len();
 
-        match self.format {
-            LedgerFormat::Jsonl => {
-                let tmp = self.path.with_extension("jsonl.tmp");
-                {
-                    let mut f = fs::File::create(&tmp)?;
-                    for row in &keep {
-                        f.write_all(row.to_line().as_bytes())?;
-                        f.write_all(b"\n")?;
-                    }
-                    f.flush()?;
-                    f.sync_all()?;
-                }
-                fs::rename(&tmp, &self.path)?;
-                if let Some(plan) = &self.faults {
-                    plan.observe(fault::site::LEDGER_COMPACT);
-                }
+        self.ensure_dir()?;
+        // Materialise payloads before any rewrite: disk-lazy rows still
+        // point at the files we are replacing.
+        let payloads: Vec<Vec<u8>> =
+            keep.iter().map(|r| r.payload_bytes()).collect::<io::Result<_>>()?;
+        for s in 0..SHARDS {
+            let spath = shard_path(&self.path, s);
+            let mine: Vec<usize> =
+                (0..keep.len()).filter(|&i| usize::from(shard_of(&keep[i].hash)) == s).collect();
+            if mine.is_empty() && !spath.exists() {
+                continue;
             }
-            LedgerFormat::Binary => {
-                self.ensure_binary_dir()?;
-                // Materialise payloads before any rewrite: disk-lazy
-                // rows still point at the files we are replacing.
-                let payloads: Vec<Vec<u8>> =
-                    keep.iter().map(|r| r.payload_bytes()).collect::<io::Result<_>>()?;
-                for s in 0..SHARDS {
-                    let spath = shard_path(&self.path, s);
-                    let mine: Vec<usize> = (0..keep.len())
-                        .filter(|&i| usize::from(shard_of(&keep[i].hash)) == s)
-                        .collect();
-                    if mine.is_empty() && !spath.exists() {
-                        continue;
-                    }
-                    let tmp = spath.with_extension("bin.tmp");
-                    {
-                        let mut f = fs::File::create(&tmp)?;
-                        f.write_all(SHARD_MAGIC)?;
-                        let mut off = SHARD_MAGIC.len() as u64;
-                        for &i in &mine {
-                            let frame = encode_frame(&keep[i], &payloads[i]);
-                            f.write_all(&frame)?;
-                            keep[i].loc = Some(FrameLoc {
-                                shard: s as u8,
-                                offset: off,
-                                len: frame.len() as u32,
-                            });
-                            off += frame.len() as u64;
-                        }
-                        f.flush()?;
-                        f.sync_all()?;
-                    }
-                    fs::rename(&tmp, &spath)?;
-                    if let Some(plan) = &self.faults {
-                        plan.observe(fault::site::LEDGER_COMPACT);
-                    }
+            let tmp = spath.with_extension("bin.tmp");
+            {
+                let mut f = fs::File::create(&tmp)?;
+                f.write_all(SHARD_MAGIC)?;
+                let mut off = SHARD_MAGIC.len() as u64;
+                for &i in &mine {
+                    let frame = encode_frame(&keep[i], &payloads[i]);
+                    f.write_all(&frame)?;
+                    keep[i].loc =
+                        Some(FrameLoc { shard: s as u8, offset: off, len: frame.len() as u32 });
+                    off += frame.len() as u64;
                 }
+                f.flush()?;
+                f.sync_all()?;
+            }
+            fs::rename(&tmp, &spath)?;
+            if let Some(plan) = &self.faults {
+                plan.observe(fault::site::LEDGER_COMPACT);
             }
         }
 
@@ -1531,34 +1308,70 @@ impl Ledger {
         self.index = self.rows.iter().enumerate().map(|(i, r)| (r.hash.clone(), i)).collect();
         self.health.kept = self.rows.len();
         self.health.duplicates = 0;
-        if self.format == LedgerFormat::Binary {
-            self.write_index()?;
-        }
+        self.write_index()?;
         Ok(stats)
     }
 
-    /// Migrates the ledger at `src` into a fresh ledger at `dst`,
-    /// format-converting as the paths dictate (the canonical use:
-    /// v2 JSONL file → v3 binary directory). The source is opened
-    /// read-only and never touched; row order and duplicate history
-    /// are preserved, so summaries over the two ledgers are
-    /// byte-identical.
+    /// Writes the JSONL view of the ledger — one [`LedgerRow::to_line`]
+    /// per row, in append (`seq`) order. This is `ledger dump`.
     ///
     /// # Errors
     ///
-    /// If `dst` already exists, plus real I/O errors.
+    /// Write errors, or [`io::ErrorKind::InvalidData`] naming the first
+    /// row whose outcome payload is corrupt on disk.
+    pub fn dump(&self, out: &mut impl io::Write) -> io::Result<()> {
+        for row in &self.rows {
+            writeln!(out, "{}", row.to_line()?)?;
+        }
+        Ok(())
+    }
+
+    /// Imports the v1/v2 JSONL ledger file `src` (a ledger written
+    /// before v3) into a fresh ledger directory `dst`. One way only:
+    /// [`dump`](Self::dump) is the way back to JSONL. Row order and
+    /// duplicate history are preserved, so summaries over the two are
+    /// byte-identical. `src` is only read, never repaired: a line that
+    /// does not parse as a complete v2 (checksum-verified) or v1 row is
+    /// counted in [`MigrateStats::skipped`] and left behind.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] if `src` is a directory (it is
+    /// already a ledger) or `dst` cannot be a ledger directory;
+    /// [`io::ErrorKind::AlreadyExists`] if `dst` exists; real I/O
+    /// errors.
     pub fn migrate(src: &Path, dst: &Path) -> io::Result<MigrateStats> {
-        let source = Self::load_readonly(src)?;
+        if src.is_dir() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} is already a ledger directory; `ledger dump` renders it as JSONL",
+                    src.display()
+                ),
+            ));
+        }
         if dst.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("migration target {} already exists", dst.display()),
             ));
         }
+        let bytes = fs::read(src)?;
+        let mut rows = Vec::new();
+        let mut skipped = 0;
+        for line in bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            let parsed = std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(|text| {
+                LedgerRow::from_line(text).or_else(|e| LedgerRow::from_line_v1(text).map_err(|_| e))
+            });
+            match parsed {
+                Ok(row) => rows.push(row),
+                Err(_) => skipped += 1,
+            }
+        }
         let mut target = Self::load(dst)?;
-        target.append_all(source.rows.clone())?;
+        target.append_all(rows)?;
         target.sync_index()?;
-        Ok(MigrateStats { rows: target.len(), from: source.format, to: target.format })
+        Ok(MigrateStats { rows: target.len(), skipped })
     }
 }
 
@@ -1595,37 +1408,50 @@ mod tests {
         )
     }
 
+    /// The v2 JSONL rendering of `rows`, one line each — what a pre-v3
+    /// JSONL ledger file holds.
+    fn jsonl(rows: &[LedgerRow]) -> String {
+        rows.iter().map(|r| r.to_line().unwrap() + "\n").collect()
+    }
+
+    fn dump(ledger: &Ledger) -> String {
+        let mut out = Vec::new();
+        ledger.dump(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn corrupt_interior_line_is_quarantined_not_fatal() {
-        let path = tmp("corrupt.jsonl");
-        let qpath = quarantine_path(&path);
-        let _ = fs::remove_file(&qpath);
-        fs::write(&path, "garbage\n").unwrap();
-        let ledger = Ledger::load(&path).unwrap();
+        let dir = tmp("corrupt.ledger");
+        wipe(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let shard = shard_path(&dir, 3);
+        fs::write(&shard, [SHARD_MAGIC.as_slice(), b"garbage"].concat()).unwrap();
+        let ledger = Ledger::load(&dir).unwrap();
         assert!(ledger.is_empty());
         assert_eq!(
             ledger.health(),
             LedgerHealth { kept: 0, quarantined: 1, truncated: false, duplicates: 0 }
         );
         assert!(!ledger.health().is_clean());
-        // The corrupt line moved to the sidecar and the main file is
-        // compacted clean: a reload reports full health.
-        assert_eq!(fs::read_to_string(&qpath).unwrap(), "garbage\n");
-        assert_eq!(fs::read(&path).unwrap().len(), 0);
-        assert!(Ledger::load(&path).unwrap().health().is_clean());
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        // A record of the damaged bytes moved to the sidecar and the
+        // shard is compacted clean: a reload reports full health.
+        let q = fs::read_to_string(quarantine_path(&dir)).unwrap();
+        assert_eq!(q, "{\"shard\":3,\"offset\":8,\"len\":7,\"hex\":\"67617262616765\"}\n");
+        assert_eq!(fs::read(&shard).unwrap(), SHARD_MAGIC);
+        assert!(Ledger::load(&dir).unwrap().health().is_clean());
+        wipe(&dir);
     }
 
     #[test]
     fn missing_file_is_an_empty_ledger() {
-        let path = std::env::temp_dir().join("soma-ledger-unit-definitely-missing.jsonl");
+        let path = std::env::temp_dir().join("soma-ledger-unit-definitely-missing.ledger");
         let ledger = Ledger::load(&path).unwrap();
         assert!(ledger.is_empty());
         assert_eq!(ledger.len(), 0);
         assert!(ledger.lookup("0000000000000000").is_none());
         assert!(ledger.health().is_clean());
-        assert_eq!(ledger.format(), LedgerFormat::Jsonl);
+        assert!(!path.exists(), "loading creates nothing");
     }
 
     #[test]
@@ -1651,24 +1477,23 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_path_replaces_the_extension() {
+    fn quarantine_path_is_inside_the_ledger_directory() {
         assert_eq!(
-            quarantine_path(Path::new("runs/serve.jsonl")),
-            PathBuf::from("runs/serve.quarantine.jsonl")
+            quarantine_path(Path::new("runs/serve.ledger")),
+            PathBuf::from("runs/serve.ledger/quarantine.jsonl")
         );
     }
 
     #[test]
     fn quarantine_sidecars_are_refused_as_ledgers() {
-        // `quarantine_path` of a sidecar maps onto itself, so loading
-        // one as a ledger would re-quarantine its own contents in
-        // place. The load refuses instead.
+        // A sidecar is a file, and no file loads as a ledger — so its
+        // records can never be re-quarantined into themselves.
         let path = tmp("refused.quarantine.jsonl");
         fs::write(&path, "garbage\n").unwrap();
         for load in [Ledger::load, Ledger::load_readonly] {
             let err = load(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-            assert!(err.to_string().contains("quarantine sidecar"), "{err}");
+            assert!(err.to_string().contains("ledger migrate"), "{err}");
         }
         // The sidecar's bytes are untouched by the refused loads.
         assert_eq!(fs::read_to_string(&path).unwrap(), "garbage\n");
@@ -1676,18 +1501,26 @@ mod tests {
     }
 
     #[test]
-    fn format_detection_prefers_what_exists() {
-        let dir = tmp("detect.ledger");
-        wipe(&dir);
-        assert_eq!(LedgerFormat::detect(&dir), LedgerFormat::Binary);
-        assert_eq!(LedgerFormat::detect(Path::new("missing.jsonl")), LedgerFormat::Jsonl);
-        fs::create_dir_all(&dir).unwrap();
-        assert_eq!(LedgerFormat::detect(&dir), LedgerFormat::Binary);
-        let file = tmp("detect.weird-extension");
-        fs::write(&file, "x").unwrap();
-        assert_eq!(LedgerFormat::detect(&file), LedgerFormat::Jsonl);
-        wipe(&dir);
-        let _ = fs::remove_file(&file);
+    fn jsonl_files_and_paths_are_refused_naming_migrate() {
+        // An existing file is refused whatever its name; a missing
+        // `.jsonl` path is refused instead of becoming a directory.
+        let file = tmp("old-ledger.txt");
+        fs::write(&file, jsonl(&[synth_row(1)])).unwrap();
+        let fresh = tmp("fresh.jsonl");
+        wipe(&fresh);
+        for path in [&file, &fresh] {
+            let plan = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
+            for err in [
+                Ledger::load(path).unwrap_err(),
+                Ledger::load_readonly(path).unwrap_err(),
+                Ledger::load_with_faults(path, plan).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+                assert!(err.to_string().contains("ledger migrate"), "{err}");
+            }
+        }
+        assert!(!fresh.exists(), "a refused path is never created");
+        wipe(&file);
     }
 
     #[test]
@@ -1695,7 +1528,6 @@ mod tests {
         let dir = tmp("roundtrip.ledger");
         wipe(&dir);
         let mut ledger = Ledger::load(&dir).unwrap();
-        assert_eq!(ledger.format(), LedgerFormat::Binary);
         let rows: Vec<LedgerRow> = (0..40).map(synth_row).collect();
         for row in rows.iter().cloned() {
             ledger.append(row).unwrap();
@@ -1738,41 +1570,46 @@ mod tests {
 
     #[test]
     fn torn_tail_repair_is_in_place_not_a_compaction() {
-        // JSONL: two rows plus a torn tail. The repair must be a
-        // truncation (no compaction rewrite observed, no temp file).
-        let path = tmp("torn.jsonl");
-        wipe(&path);
+        // Two rows in one shard plus a torn tail, no index. The repair
+        // must be a truncation (no compaction rewrite observed, no temp
+        // file).
+        let dir = tmp("torn-noindex.ledger");
+        wipe(&dir);
         {
-            let mut ledger = Ledger::load(&path).unwrap();
+            let mut ledger = Ledger::load(&dir).unwrap();
             ledger.append(synth_row(1)).unwrap();
             ledger.append(synth_row(2)).unwrap();
         }
-        let clean = fs::read(&path).unwrap();
+        let _ = fs::remove_file(dir.join(INDEX_FILE));
+        let shard = shard_path(&dir, 0);
+        let clean = fs::read(&shard).unwrap();
         let mut damaged = clean.clone();
-        damaged.extend_from_slice(b"{\"crc\":\"torn");
-        fs::write(&path, &damaged).unwrap();
+        damaged.extend_from_slice(FRAME_MAGIC);
+        damaged.extend_from_slice(&[0x40, 0x01]);
+        fs::write(&shard, &damaged).unwrap();
         let plan = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let ledger = Ledger::load_with_faults(&path, Arc::clone(&plan)).unwrap();
+        let ledger = Ledger::load_with_faults(&dir, Arc::clone(&plan)).unwrap();
         assert_eq!(ledger.len(), 2);
         assert!(ledger.health().truncated);
         assert_eq!(ledger.health().quarantined, 0);
         assert_eq!(plan.invocations(fault::site::LEDGER_COMPACT), 0, "no compaction rewrite");
-        assert!(!path.with_extension("jsonl.tmp").exists(), "no temp file created");
-        assert_eq!(fs::read(&path).unwrap(), clean, "tail truncated in place");
+        assert!(!shard.with_extension("bin.tmp").exists(), "no temp file created");
+        assert_eq!(fs::read(&shard).unwrap(), clean, "tail truncated in place");
 
-        // A corrupt interior row, by contrast, must compact (observed
+        // A corrupt interior region, by contrast, must compact (observed
         // exactly once) and quarantine.
-        let mut corrupted = Vec::new();
+        let mut corrupted = SHARD_MAGIC.to_vec();
         corrupted.extend_from_slice(b"garbage\n");
-        corrupted.extend_from_slice(&clean);
-        fs::write(&path, &corrupted).unwrap();
+        corrupted.extend_from_slice(&clean[SHARD_MAGIC.len()..]);
+        fs::write(&shard, &corrupted).unwrap();
+        let _ = fs::remove_file(dir.join(INDEX_FILE));
         let plan2 = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let repaired = Ledger::load_with_faults(&path, Arc::clone(&plan2)).unwrap();
+        let repaired = Ledger::load_with_faults(&dir, Arc::clone(&plan2)).unwrap();
         assert_eq!(repaired.len(), 2);
         assert_eq!(repaired.health().quarantined, 1);
         assert_eq!(plan2.invocations(fault::site::LEDGER_COMPACT), 1, "one compaction rewrite");
-        wipe(&path);
-        let _ = fs::remove_file(quarantine_path(&path));
+        assert_eq!(fs::read(&shard).unwrap(), clean, "compaction restores the clean shard");
+        wipe(&dir);
     }
 
     #[test]
@@ -1821,40 +1658,41 @@ mod tests {
 
     #[test]
     fn readonly_load_tolerates_damage_and_rejects_writes() {
-        let path = tmp("readonly.jsonl");
-        wipe(&path);
+        let dir = tmp("readonly.ledger");
+        wipe(&dir);
         {
-            let mut ledger = Ledger::load(&path).unwrap();
+            let mut ledger = Ledger::load(&dir).unwrap();
             ledger.append(synth_row(1)).unwrap();
         }
-        let mut damaged = fs::read(&path).unwrap();
-        let before_garbage = damaged.clone();
-        damaged.splice(0..0, b"garbage\n".iter().copied());
-        damaged.extend_from_slice(b"{\"torn");
-        fs::write(&path, &damaged).unwrap();
+        let shard = shard_path(&dir, 0);
+        let mut damaged = fs::read(&shard).unwrap();
+        damaged.splice(SHARD_MAGIC.len()..SHARD_MAGIC.len(), b"garbage\n".iter().copied());
+        damaged.extend_from_slice(b"FRM3\x01");
+        fs::write(&shard, &damaged).unwrap();
 
-        let ledger = Ledger::load_readonly(&path).unwrap();
+        let ledger = Ledger::load_readonly(&dir).unwrap();
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger.health().quarantined, 1);
         assert!(ledger.health().truncated);
         assert!(ledger.readonly());
-        // Nothing on disk moved: no truncation, no sidecar, no rewrite.
-        assert_eq!(fs::read(&path).unwrap(), damaged);
-        assert!(!quarantine_path(&path).exists());
-        let err = Ledger::load_readonly(&path).unwrap().append(synth_row(9)).unwrap_err();
+        // Nothing on disk moved: no truncation, no sidecar, no rewrite,
+        // no index.
+        assert_eq!(fs::read(&shard).unwrap(), damaged);
+        assert!(!quarantine_path(&dir).exists());
+        assert!(!dir.join(INDEX_FILE).exists());
+        let err = Ledger::load_readonly(&dir).unwrap().append(synth_row(9)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let err = Ledger::load_readonly(&path).unwrap().sync_index().unwrap_err();
+        let err = Ledger::load_readonly(&dir).unwrap().sync_index().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let err = Ledger::load_readonly(&path).unwrap().compact().unwrap_err();
+        let err = Ledger::load_readonly(&dir).unwrap().compact().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let _ = before_garbage;
-        wipe(&path);
+        wipe(&dir);
     }
 
     #[test]
     fn v1_rows_migrate_on_read() {
-        // A complete v1 row (no crc) parses via the migration path; an
-        // incomplete one stays quarantined.
+        // A complete v1 row (no crc) imports; an incomplete one is
+        // skipped. The imported row dumps as its v2 line.
         let row = synth_row(3);
         let outcome = row.outcome().unwrap();
         let mut o = Value::obj();
@@ -1867,12 +1705,13 @@ mod tests {
         o.push("outcome", outcome_to_json(outcome));
         let v1_line = json::to_string(&o);
 
-        let path = tmp("v1.jsonl");
-        wipe(&path);
-        fs::write(&path, format!("{v1_line}\n{{\"v\":1}}\n")).unwrap();
-        let ledger = Ledger::load(&path).unwrap();
-        assert_eq!(ledger.len(), 1, "complete v1 row migrated");
-        assert_eq!(ledger.health().quarantined, 1, "incomplete v1 row quarantined");
+        let src = tmp("v1.jsonl");
+        let dst = tmp("v1.ledger");
+        wipe(&dst);
+        fs::write(&src, format!("{v1_line}\n{{\"v\":1}}\n")).unwrap();
+        let stats = Ledger::migrate(&src, &dst).unwrap();
+        assert_eq!(stats, MigrateStats { rows: 1, skipped: 1 }, "incomplete v1 row skipped");
+        let ledger = Ledger::load(&dst).unwrap();
         let got = ledger.lookup(&row.hash).unwrap();
         assert_eq!(got.engine, "", "pre-v3 rows have no recorded engine");
         assert_eq!(
@@ -1880,11 +1719,19 @@ mod tests {
             outcome_to_bytes(outcome),
             "outcome survives migration bit-for-bit"
         );
-        // The repair rewrite upgraded the surviving row to v2 on disk.
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"crc\":"), "{text}");
-        wipe(&path);
-        let _ = fs::remove_file(quarantine_path(&path));
+        // The dump is the v2 rendering, and importing it again is an
+        // identity.
+        let text = dump(&ledger);
+        assert_eq!(text, jsonl(&[row]));
+        let v2 = tmp("v1-as-v2.jsonl");
+        let again = tmp("v1-again.ledger");
+        wipe(&again);
+        fs::write(&v2, &text).unwrap();
+        Ledger::migrate(&v2, &again).unwrap();
+        assert_eq!(dump(&Ledger::load_readonly(&again).unwrap()), text);
+        for path in [&src, &dst, &v2, &again] {
+            wipe(path);
+        }
     }
 
     #[test]
@@ -1922,36 +1769,73 @@ mod tests {
     fn migration_preserves_rows_and_refuses_existing_targets() {
         let src = tmp("mig-src.jsonl");
         let dst = tmp("mig-dst.ledger");
-        wipe(&src);
         wipe(&dst);
-        {
-            let mut ledger = Ledger::load(&src).unwrap();
-            for i in 0..10 {
-                ledger.append(synth_row(i)).unwrap();
-            }
-        }
+        let rows: Vec<LedgerRow> = (0..10).map(synth_row).collect();
+        fs::write(&src, jsonl(&rows)).unwrap();
         let src_bytes = fs::read(&src).unwrap();
         let stats = Ledger::migrate(&src, &dst).unwrap();
-        assert_eq!(
-            stats,
-            MigrateStats { rows: 10, from: LedgerFormat::Jsonl, to: LedgerFormat::Binary }
-        );
+        assert_eq!(stats, MigrateStats { rows: 10, skipped: 0 });
         assert_eq!(fs::read(&src).unwrap(), src_bytes, "source untouched");
         let migrated = Ledger::load_readonly(&dst).unwrap();
         assert_eq!(migrated.len(), 10);
         assert_eq!(migrated.outcome_decodes(), 0, "index written by migrate");
         let order: Vec<String> = migrated.rows().iter().map(|r| r.hash.clone()).collect();
-        let want: Vec<String> = (0..10).map(|i| synth_row(i).hash).collect();
+        let want: Vec<String> = rows.iter().map(|r| r.hash.clone()).collect();
         assert_eq!(order, want, "row order preserved");
-        // Round trip back to JSONL: byte-identical to the source.
+        // The dump is byte-identical to the imported file.
+        assert_eq!(dump(&migrated).as_bytes(), src_bytes, "jsonl → binary → dump is an identity");
+
+        let err = Ledger::migrate(&src, &dst).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "existing target refused");
+        // One way only: a directory is not an import source, and a
+        // `.jsonl` path is not a ledger target.
         let back = tmp("mig-back.jsonl");
-        wipe(&back);
-        Ledger::migrate(&dst, &back).unwrap();
-        assert_eq!(fs::read(&back).unwrap(), src_bytes, "jsonl → binary → jsonl is an identity");
-        assert!(Ledger::migrate(&src, &dst).is_err(), "existing target refused");
+        let err = Ledger::migrate(&dst, &back).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("ledger dump"), "{err}");
+        assert!(!back.exists());
         wipe(&src);
         wipe(&dst);
-        wipe(&back);
+    }
+
+    #[test]
+    fn dump_reports_a_rotted_frame_instead_of_panicking() {
+        // One payload byte rots under an index that trusts the shard
+        // (same size, so no scan): the load is "clean", and rendering
+        // the row is a typed error naming it — never a panic.
+        let dir = tmp("rot.ledger");
+        wipe(&dir);
+        let row = synth_row(5);
+        {
+            let mut ledger = Ledger::load(&dir).unwrap();
+            ledger.append(row.clone()).unwrap();
+            ledger.sync_index().unwrap();
+        }
+        let shard = shard_path(&dir, usize::from(shard_of(&row.hash)));
+        let mut bytes = fs::read(&shard).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        fs::write(&shard, &bytes).unwrap();
+
+        let ledger = Ledger::load_readonly(&dir).unwrap();
+        assert!(ledger.health().is_clean(), "an index-trusted shard is not rescanned");
+        let err = ledger.rows()[0].to_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&row.hash), "{err}");
+        let err = ledger.dump(&mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains(&row.hash), "{err}");
+        wipe(&dir);
+    }
+
+    #[test]
+    fn health_report_names_the_sidecar_only_after_quarantine() {
+        let torn = LedgerHealth { kept: 2, quarantined: 0, truncated: true, duplicates: 0 };
+        assert_eq!(torn.to_string(), "2 row(s) kept, torn tail dropped");
+        let damaged = LedgerHealth { kept: 1, quarantined: 1, truncated: false, duplicates: 3 };
+        assert_eq!(
+            damaged.to_string(),
+            "1 row(s) kept, 1 damaged region(s) quarantined to quarantine.jsonl, \
+             3 duplicate hash(es) (last write wins)"
+        );
     }
 
     #[test]
