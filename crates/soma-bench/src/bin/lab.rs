@@ -7,9 +7,10 @@
 //!     --ledger out/fig2.ledger --require-hits
 //! ```
 //!
-//! Stdout carries the same CSV the `run` binary prints (byte-identical
-//! for the same spec — pinned by the golden tests); commentary and the
-//! per-cell `LabEvent` stream go to stderr. Results are keyed into the
+//! Stdout carries the CSV (`scenario,workload,platform,batch,scheme,...`;
+//! one `ours_1` and one `ours_2` row per cell, byte-for-byte pinned by
+//! the golden tests); commentary and the per-cell `LabEvent` stream go
+//! to stderr. Results are keyed into the
 //! **run ledger** (default `target/lab/<experiment-name>.ledger`, a
 //! binary shard directory; `--ledger <dir>` picks an explicit location,
 //! and `ledger dump <dir>` prints its JSONL view): a rerun of an

@@ -23,8 +23,14 @@
 //!   flag). Results are merged, the ledger written and
 //!   [`LabEvent::Cached`]/[`LabEvent::Finished`] observed in cell order
 //!   regardless of completion order, so ledger bytes and rows are
-//!   bit-identical across thread counts — and to the sequential
-//!   [`run_experiment`](crate::run_experiment).
+//!   bit-identical across thread counts.
+//!
+//! A searched cell's outcome is exactly what the hand-written
+//! `Scheduler::new(&cell.net, &cell.hw).config(spec.config.clone())
+//! .seeds(spec.seeds.clone()).run()` returns — no hidden seed salting,
+//! no effort rescaling — so a committed `.soma` file *is* the run
+//! configuration. [`csv_rows`] renders the rows as the `lab` binary's
+//! stdout CSV.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -34,11 +40,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use soma_search::{Scheduler, SearchOutcome};
+use soma_search::{Evaluated, Scheduler, SearchOutcome};
 use soma_spec::fault::{self, Fault, FaultPlan};
-use soma_spec::ExperimentSpec;
-
-use crate::ExperimentRow;
+use soma_spec::{ExperimentCell, ExperimentSpec};
 
 // The ledger itself lives in `soma_spec::ledger` (it is shared with the
 // `soma-serve` daemon's result cache); re-exported here because the lab
@@ -49,6 +53,56 @@ pub use soma_spec::ledger::{cell_key, Ledger, LedgerRow, LEDGER_VERSION};
 // to depend on the orchestrator to understand its progress stream);
 // re-exported here because the lab is its producer and historical home.
 pub use soma_obs::LabEvent;
+
+/// One executed experiment cell.
+#[derive(Debug)]
+pub struct ExperimentRow {
+    /// The resolved cell (scenario id, network, platform).
+    pub cell: ExperimentCell,
+    /// The search outcome of the cell's seed portfolio.
+    pub outcome: SearchOutcome,
+}
+
+/// The header of the `lab` binary's CSV (golden files compare its
+/// output byte-for-byte).
+pub const CSV_HEADER: &str = "scenario,workload,platform,batch,scheme,latency_cycles,energy_pj,\
+                              cost,evals,rejected,lgs,flgs,tiles,dram_tensors";
+
+/// Renders one result row pair (`ours_1` stage-1 snapshot + `ours_2`
+/// final scheme) per cell, in cell order — the body under
+/// [`CSV_HEADER`]. Cached and freshly searched outcomes render
+/// identically because ledger persistence is lossless.
+pub fn csv_rows(rows: &[ExperimentRow]) -> String {
+    use std::fmt::Write as _;
+
+    let mut out = String::new();
+    let mut one = |cell: &ExperimentCell, scheme: &str, e: &Evaluated, r: &ExperimentRow| {
+        let plan =
+            soma_core::parse_lfa(&cell.net, &e.encoding.lfa).expect("reported scheme parses");
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{scheme},{},{:.1},{:.6e},{},{},{},{},{},{}",
+            cell.id,
+            cell.workload,
+            cell.platform,
+            cell.batch,
+            e.report.latency_cycles,
+            e.report.energy.total_pj(),
+            e.cost,
+            r.outcome.evals,
+            r.outcome.rejected,
+            plan.n_lgs(),
+            plan.flgs.len(),
+            plan.tiles.len(),
+            plan.dram_tensors.len()
+        );
+    };
+    for r in rows {
+        one(&r.cell, "ours_1", &r.outcome.stage1, r);
+        one(&r.cell, "ours_2", &r.outcome.best, r);
+    }
+    out
+}
 
 /// What [`run_lab`] reports back.
 #[derive(Debug)]
@@ -138,9 +192,7 @@ impl InOrderFlush<'_, '_> {
 /// across the threads chosen by `spec.parallelism` and append to the
 /// ledger in cell order. The observer sees [`LabEvent`]s in the order
 /// documented on the type. The returned rows and ledger bytes are
-/// bit-identical across every [`Parallelism`] policy — and to a
-/// sequential [`run_experiment`](crate::run_experiment) of the same
-/// spec.
+/// bit-identical across every [`Parallelism`] policy.
 ///
 /// # Errors
 ///
@@ -179,15 +231,6 @@ pub fn run_lab_until(
     observer: impl FnMut(&LabEvent) + Send,
 ) -> io::Result<LabSummary> {
     run_lab_chaos(spec, ledger_path, stop, None, observer)
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// [`run_lab_until`] with a deterministic [`FaultPlan`] threaded behind
@@ -238,10 +281,11 @@ pub fn run_lab_chaos(
     let mut duplicates: Vec<(usize, usize)> = Vec::new();
     let mut first_claim: HashMap<&str, usize> = HashMap::new();
     for (i, (cell, key)) in cells.iter().zip(&keys).enumerate() {
-        if let Some(row) = ledger.lookup(key) {
-            // A lazy row whose payload is corrupt decodes to `None`
-            // and simply counts as a miss (the cell re-searches).
-            outcomes[i] = row.outcome().cloned();
+        // A lazy row whose payload is corrupt decodes to `None` and
+        // counts as a miss: the cell re-searches and its new row
+        // shadows the damaged one (last write wins).
+        if let Some(outcome) = ledger.lookup(key).and_then(|row| row.outcome().cloned()) {
+            outcomes[i] = Some(outcome);
             observer(&LabEvent::Cached { cell: cell.id.clone(), hash: key.clone() });
         } else if let Some(&first) = first_claim.get(key.as_str()) {
             duplicates.push((i, first));
@@ -318,7 +362,7 @@ pub fn run_lab_chaos(
                     let ev = LabEvent::Failed {
                         cell: cell.id.clone(),
                         hash: key.clone(),
-                        error: panic_message(payload.as_ref()),
+                        error: fault::panic_message(payload.as_ref()),
                     };
                     flush
                         .lock()
@@ -447,6 +491,31 @@ mod tests {
     }
 
     #[test]
+    fn cold_run_emits_the_lab_event_protocol() {
+        let spec = read_experiment(SPEC).unwrap();
+        let path = tmp("events.ledger");
+        let mut events = Vec::new();
+        run_lab(&spec, &path, |ev| events.push(ev.clone())).unwrap();
+        assert!(matches!(&events[0], LabEvent::Queued { cell, .. } if cell == "fig2@edge/b1"));
+        assert!(matches!(&events[1], LabEvent::Started { .. }));
+        assert!(matches!(&events[2], LabEvent::Finished { evals, .. } if *evals > 0));
+        assert_eq!(events.len(), 3, "no Cached events on a cold ledger: {events:?}");
+    }
+
+    #[test]
+    fn csv_rows_render_both_schemes_per_cell() {
+        let spec = read_experiment(SPEC).unwrap();
+        let path = tmp("csv.ledger");
+        let rows = run_lab(&spec, &path, |_| {}).unwrap().rows;
+        // Two CSV rows per cell: the stage-1 snapshot and the final scheme.
+        let csv = csv_rows(&rows);
+        assert_eq!(csv.lines().count(), 2);
+        assert!(csv.contains("fig2@edge/b1,fig2,edge-16tops,1,ours_1,"));
+        assert!(csv.contains(",ours_2,"));
+        assert_eq!(CSV_HEADER.split(',').count(), csv.lines().next().unwrap().split(',').count());
+    }
+
+    #[test]
     fn second_run_is_all_hits() {
         let spec = read_experiment(SPEC).unwrap();
         let path = tmp("hits.ledger");
@@ -483,6 +552,34 @@ mod tests {
         let again = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((again.hits, again.misses), (0, 1));
         assert_eq!(dir_bytes(&path), intact);
+    }
+
+    #[test]
+    fn corrupt_payload_under_a_trusted_index_re_searches() {
+        let spec = read_experiment(SPEC).unwrap();
+        let path = tmp("rotted.ledger");
+        let first = run_lab(&spec, &path, |_| {}).unwrap();
+
+        // Rot the outcome payload (a frame's last field) without
+        // changing the shard's length, so the index still trusts it and
+        // the damage only shows when the row decodes.
+        let (name, mut bytes) = shards(&path).into_iter().next().expect("one shard");
+        *bytes.last_mut().expect("non-empty shard") ^= 0x01;
+        fs::write(path.join(&name), bytes).unwrap();
+
+        // The undecodable row is a miss, not a hit with no outcome.
+        let again = run_lab(&spec, &path, |_| {}).unwrap();
+        assert_eq!((again.hits, again.misses), (0, 1));
+        assert_eq!(again.rows.len(), 1);
+        assert_eq!(
+            again.rows[0].outcome.best.cost.to_bits(),
+            first.rows[0].outcome.best.cost.to_bits()
+        );
+
+        // The new row shadows the damaged one: the cell has healed.
+        let warm = run_lab(&spec, &path, |_| {}).unwrap();
+        assert_eq!((warm.hits, warm.misses), (1, 0));
+        assert_eq!(warm.rows.len(), 1);
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //! read `std::env` (CI lints the rest), so a `RunConfig` value *is* the
 //! complete run configuration and can be logged next to the results.
 
-pub mod experiment;
 pub mod lab;
 pub mod loadgen;
 
-pub use experiment::{csv_rows, run_cells, run_experiment, ExperimentRow, CSV_HEADER};
-pub use lab::{run_lab, run_lab_chaos, run_lab_until, LabEvent, LabSummary, Ledger, LedgerRow};
+pub use lab::{
+    csv_rows, run_lab, run_lab_chaos, run_lab_until, ExperimentRow, LabEvent, LabSummary, Ledger,
+    LedgerRow, CSV_HEADER,
+};
 pub use loadgen::{storm, StormConfig, StormReport};
 
 /// One `--version` line shared by every binary in this crate: binary

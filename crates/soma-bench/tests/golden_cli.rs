@@ -1,7 +1,7 @@
-//! Golden-file tests for the `run`, `lab` and `ledger` binaries on
-//! committed `specs/*.soma`: stdout CSV and the JSONL view of the lab
-//! run ledger (`ledger dump`) are compared **byte-for-byte** against
-//! snapshots under `tests/golden/`.
+//! Golden-file tests for the `lab` and `ledger` binaries on committed
+//! `specs/*.soma`: stdout CSV and the JSONL view of the lab run ledger
+//! (`ledger dump`) are compared **byte-for-byte** against snapshots
+//! under `tests/golden/`.
 //!
 //! Regenerate the snapshots after an intentional behaviour change with:
 //!
@@ -9,11 +9,10 @@
 //! SOMA_BLESS=1 cargo test -p soma-bench --test golden_cli
 //! ```
 //!
-//! The two binaries must agree: for the same spec, `lab`'s CSV is
-//! compared against the *same* golden file as `run`'s — the orchestrator
-//! adds caching and parallelism, never different numbers. And a warm
-//! `lab` rerun (100 % ledger hits, enforced via `--require-hits`) must
-//! reproduce the cold CSV byte-for-byte from the ledger alone.
+//! Caching and parallelism never change the numbers: a warm `lab`
+//! rerun (100 % ledger hits, enforced via `--require-hits`) must
+//! reproduce the cold CSV byte-for-byte from the ledger alone, and a
+//! cold 4-thread run must match the same goldens.
 //!
 //! The JSONL side of the ledger tooling is pinned here too: `ledger
 //! migrate` imports the committed goldens (v2, and the same rows as v1)
@@ -107,28 +106,24 @@ fn assert_golden(got: &[u8], golden: &str) {
     );
 }
 
-/// One spec through both binaries: `run` CSV matches the golden, `lab`
-/// cold CSV matches the *same* golden, the ledger's dump matches its
-/// golden, and a warm `lab` pass is 100 % hits with identical output.
+/// One spec through `lab`: the cold CSV matches the golden, the
+/// ledger's dump matches its golden, a warm pass is 100 % hits with
+/// identical output, and a cold 4-thread pass hits the same goldens.
 fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
     let spec = repo_spec(spec_file);
     let spec = spec.to_str().expect("utf-8 path");
-
-    let (run_csv, _, ok) = run_bin(env!("CARGO_BIN_EXE_run"), &[spec]);
-    assert!(ok, "run failed on {spec_file}");
-    assert_golden(run_csv.as_bytes(), csv_golden);
 
     let ledger = fresh(&format!("golden-{spec_file}.ledger"));
     let ledger_arg = ledger.to_str().expect("utf-8 path");
     let (cold_csv, _, ok) = run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", ledger_arg]);
     assert!(ok, "lab (cold) failed on {spec_file}");
-    assert_eq!(cold_csv, run_csv, "{spec_file}: lab CSV != run CSV");
+    assert_golden(cold_csv.as_bytes(), csv_golden);
     assert_golden(dump(&ledger).as_bytes(), ledger_golden);
 
     let (warm_csv, warm_err, ok) =
         run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", ledger_arg, "--require-hits"]);
     assert!(ok, "lab (warm) was not 100% hits on {spec_file}:\n{warm_err}");
-    assert_eq!(warm_csv, run_csv, "{spec_file}: warm lab CSV != cold CSV");
+    assert_eq!(warm_csv, cold_csv, "{spec_file}: warm lab CSV != cold CSV");
     assert_golden(dump(&ledger).as_bytes(), ledger_golden);
 
     // A cold 4-thread pass must hit the *same* goldens: thread policy is
@@ -138,7 +133,7 @@ fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
     let (t4_csv, _, ok) =
         run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", t4_arg, "--threads", "4"]);
     assert!(ok, "lab (cold, --threads 4) failed on {spec_file}");
-    assert_eq!(t4_csv, run_csv, "{spec_file}: 4-thread lab CSV != run CSV");
+    assert_eq!(t4_csv, cold_csv, "{spec_file}: 4-thread lab CSV != cold CSV");
     assert_golden(dump(&t4).as_bytes(), ledger_golden);
 }
 

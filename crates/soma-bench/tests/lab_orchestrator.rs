@@ -1,11 +1,11 @@
 //! Differential and resume tests for the `lab` orchestrator.
 //!
 //! * **Differential** — `run_lab` (parallel work-queue + ledger) must
-//!   equal the sequential `run_experiment` **bit-for-bit**: same rows,
-//!   same envelope bests, same ledger content — for every registry
-//!   scenario of the differential workload set at tiny effort. The
-//!   property is workload-agnostic (both paths drive the identical
-//!   `Scheduler` portfolio per cell), so the set uses the registry's
+//!   equal a plain per-cell `Scheduler` loop written out in the test
+//!   (no orchestration code shared with the lab) **bit-for-bit**: same
+//!   rows, same envelope bests, same ledger content — for every
+//!   registry scenario of the differential workload set at tiny effort.
+//!   The property is workload-agnostic, so the set uses the registry's
 //!   small figure workloads across *all* presets and batches, plus one
 //!   real CNN as a depth probe, keeping the suite fast.
 //! * **Resume** — an interrupted run (stopped after its first cell, or
@@ -20,8 +20,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use soma_bench::{run_experiment, run_lab, run_lab_until, ExperimentRow, LabEvent, Ledger};
-use soma_search::{Evaluated, Parallelism, SearchConfig};
+use soma_bench::{run_lab, run_lab_until, ExperimentRow, LabEvent, Ledger};
+use soma_search::{Evaluated, Parallelism, Scheduler, SearchConfig};
 use soma_spec::registry::scenarios;
 use soma_spec::{read_experiment, ExperimentSpec};
 
@@ -88,21 +88,36 @@ fn differential_spec() -> ExperimentSpec {
     }
 }
 
+/// The oracle: each cell searched by a direct `Scheduler` call, one
+/// after another — no ledger, no work queue, no merge.
+fn direct_rows(spec: &ExperimentSpec) -> Vec<ExperimentRow> {
+    spec.cells()
+        .into_iter()
+        .map(|c| {
+            let outcome = Scheduler::new(&c.net, &c.hw)
+                .config(spec.config.clone())
+                .seeds(spec.seeds.iter().copied())
+                .run();
+            ExperimentRow { cell: c, outcome }
+        })
+        .collect()
+}
+
 #[test]
-fn lab_matches_sequential_run_experiment_bit_for_bit() {
+fn lab_matches_direct_scheduler_bit_for_bit() {
     let spec = differential_spec();
-    let sequential = run_experiment(&spec, |_| {});
+    let direct = direct_rows(&spec);
 
     let ledger_path = fresh("differential.ledger");
     let cold = run_lab(&spec, &ledger_path, |_| {}).expect("cold lab run");
     assert_eq!((cold.hits, cold.misses), (0, spec.cells().len()));
-    assert_rows_eq(&sequential, &cold.rows);
+    assert_rows_eq(&direct, &cold.rows);
 
     // The persisted ledger holds the same outcomes, row per cell in cell
     // order — "same ledger rows" down to the serialised bits.
     let ledger = Ledger::load(&ledger_path).expect("ledger loads");
-    assert_eq!(ledger.len(), sequential.len());
-    for (row, led) in sequential.iter().zip(ledger.rows()) {
+    assert_eq!(ledger.len(), direct.len());
+    for (row, led) in direct.iter().zip(ledger.rows()) {
         assert_eq!(row.cell.id, led.cell);
         assert_eq!(row.cell.workload, led.workload);
         assert_eq!(row.cell.platform, led.platform);
@@ -115,7 +130,7 @@ fn lab_matches_sequential_run_experiment_bit_for_bit() {
     // And the warm (all-cached) pass replays the identical rows.
     let warm = run_lab(&spec, &ledger_path, |_| {}).expect("warm lab run");
     assert_eq!((warm.hits, warm.misses), (spec.cells().len(), 0));
-    assert_rows_eq(&sequential, &warm.rows);
+    assert_rows_eq(&direct, &warm.rows);
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Property tests pinning the streaming stats engine to a sort-based
 //! oracle: whatever the constant-space aggregators report must match
-//! (exactly, or within the P² paper's expectations) what a full sort of
-//! the same sample says.
+//! exactly what a full sort of the same sample says.
 //!
 //! Samples are seed-driven through the vendored proptest + StdRng, so
 //! failures reproduce deterministically.
@@ -9,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use soma_obs::{percentile_nearest_rank, P2Quantile, Sample, StreamingStats};
+use soma_obs::{percentile_nearest_rank, Sample, StreamingStats};
 
 /// The oracle: sort a copy, take nearest-rank directly.
 fn oracle_percentile(values: &[f64], p: f64) -> f64 {
@@ -108,44 +107,5 @@ proptest! {
         for p in [50.0, 90.0, 99.0] {
             prop_assert_eq!(percentile_nearest_rank(&values, p), sample.percentile(p));
         }
-    }
-
-    /// The P² estimate stays inside the observed range and lands within
-    /// a modest fraction of the range of the exact quantile on
-    /// uniform-ish samples — the accuracy regime the estimator is
-    /// specified for.
-    #[test]
-    fn p2_tracks_the_exact_quantile(seed in 0u64..1_000_000, len in 50usize..500, q_pm in 1u32..10) {
-        let q = f64::from(q_pm) / 10.0; // 0.1 ..= 0.9
-        let values = sample_values(seed, len);
-        let mut est = P2Quantile::new(q);
-        for &x in &values {
-            est.observe(x);
-        }
-        let exact = oracle_percentile(&values, q * 100.0);
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let range = max - min;
-        let e = est.estimate();
-        prop_assert!(e >= min && e <= max, "estimate {} outside [{}, {}]", e, min, max);
-        prop_assert!(
-            (e - exact).abs() <= 0.15 * range,
-            "estimate {} too far from exact {} (range {})",
-            e,
-            exact,
-            range
-        );
-    }
-
-    /// P² is exact (equals the oracle) through its first five
-    /// observations, for any sample.
-    #[test]
-    fn p2_is_exact_until_six(seed in 0u64..1_000_000, len in 1usize..6) {
-        let values = sample_values(seed, len);
-        let mut est = P2Quantile::new(0.5);
-        for &x in &values {
-            est.observe(x);
-        }
-        prop_assert_eq!(est.estimate(), oracle_percentile(&values, 50.0));
     }
 }

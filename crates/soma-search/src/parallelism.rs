@@ -5,7 +5,7 @@
 //! instead of consulting ad-hoc globals — [`Scheduler::parallelism`]
 //! (crate::Scheduler::parallelism), `RunConfig.threads`, the `threads`
 //! directive of an experiment spec, and the `--threads` flag of the
-//! `run`/`lab` binaries all carry this type.
+//! `lab` binary all carry this type.
 //!
 //! Determinism: outcomes and ledger bytes are **bit-identical across
 //! all variants**. Work is merged in submission order (never completion

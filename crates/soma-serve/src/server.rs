@@ -329,18 +329,9 @@ fn handle_connection(stream: Stream, shared: &Shared) {
 /// the network text itself and is recorded as 1.
 fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
     match target {
-        Target::Scenario(id) => {
-            let sc = registry::lookup(id).ok_or_else(|| format!("unknown scenario `{id}`"))?;
-            let hw = sc.hardware();
-            Ok(ExperimentCell {
-                id: sc.id(),
-                workload: sc.workload.clone(),
-                platform: hw.name.clone(),
-                batch: sc.batch,
-                net: sc.network(),
-                hw,
-            })
-        }
+        Target::Scenario(id) => registry::lookup(id)
+            .map(|sc| sc.cell())
+            .ok_or_else(|| format!("unknown scenario `{id}`")),
         Target::Inline { network, hardware } => {
             let net = read_network(network).map_err(|e| format!("bad network spec: {e}"))?;
             let hw = match hardware {
@@ -359,15 +350,6 @@ fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
             })
         }
     }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) -> io::Result<()> {
@@ -500,7 +482,7 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
                 &Response::Error {
                     detail: format!(
                         "search panicked: {} (request {} failed; the daemon survives)",
-                        panic_message(payload.as_ref()),
+                        fault::panic_message(payload.as_ref()),
                         submit.id
                     ),
                 },
@@ -528,12 +510,15 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         let mut ledger = shared.ledger.lock().expect("ledger lock poisoned");
         // Two concurrent submits of the same request both search (the
         // outcomes are bit-identical); only the first appends, keeping
-        // the ledger one-row-per-key like the lab orchestrator. A
-        // failed append (real or injected) is not fatal to the client:
-        // the outcome is correct either way, the cache just won't have
-        // it until someone recomputes — and the next load repairs any
-        // torn tail the failure left behind.
-        if ledger.lookup(&hash).is_none() {
+        // the ledger one-row-per-key like the lab orchestrator. A stored
+        // row whose payload no longer decodes counts as absent: the new
+        // row shadows it (last write wins), so the cell heals instead
+        // of re-searching on every request. A failed append (real or
+        // injected) is not fatal to the client: the outcome is correct
+        // either way, the cache just won't have it until someone
+        // recomputes — and the next load repairs any torn tail the
+        // failure left behind.
+        if ledger.lookup(&hash).and_then(LedgerRow::outcome).is_none() {
             let _ = ledger.append(LedgerRow::new(&cell, &hash, outcome.clone()));
         }
     }

@@ -15,6 +15,7 @@ use soma_serve::{
     Target,
 };
 use soma_spec::fault::{site, Fault, FaultConfig, FaultPlan};
+use soma_spec::ledger::Ledger;
 use soma_spec::quarantine_path;
 
 fn tmp(name: &str) -> PathBuf {
@@ -209,6 +210,46 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     let q = fs::read_to_string(quarantine_path(&ledger_path)).unwrap();
     let hex: String = b"not a ledger row".iter().map(|b| format!("{b:02x}")).collect();
     assert!(q.contains(&hex), "{q}");
+    let _ = fs::remove_dir_all(&ledger_path);
+}
+
+#[test]
+fn a_row_whose_payload_rots_under_a_trusted_index_is_re_searched_once_and_healed() {
+    // Daemon A writes one good row; an index is written for it, so the
+    // next load trusts the shard without scanning it.
+    let (handle, ledger_path) = server("rotted", None);
+    let mut client = Client::connect(handle.listen()).unwrap();
+    let cold = client.submit(quick("cold", 4, None)).unwrap();
+    assert!(cold.succeeded());
+    handle.shutdown();
+    Ledger::load(&ledger_path).unwrap().sync_index().unwrap();
+
+    // Rot the outcome payload (a frame's last field) in place: same
+    // shard length, so the damage only shows when the row decodes.
+    let shard = fs::read_dir(&ledger_path)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("shard-")))
+        .expect("the row's shard");
+    let mut bytes = fs::read(&shard).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    fs::write(&shard, bytes).unwrap();
+
+    // Daemon B: the undecodable row is a miss that re-searches and
+    // appends, so the same request is then served warm.
+    let handle = start(ServerConfig::new(unix_listen("rotted-b"), &ledger_path)).unwrap();
+    let mut client = Client::connect(handle.listen()).unwrap();
+    let again = client.submit(quick("again", 4, None)).unwrap();
+    assert!(!again.cached, "a row that does not decode is not a cache hit");
+    let warm = client.submit(quick("warm", 4, None)).unwrap();
+    assert!(warm.cached, "the re-searched row must shadow the rotten one");
+    for got in [&again, &warm] {
+        assert_eq!(
+            outcome_to_string(got.outcome.as_ref().unwrap()),
+            outcome_to_string(cold.outcome.as_ref().unwrap()),
+        );
+    }
+    handle.shutdown();
     let _ = fs::remove_dir_all(&ledger_path);
 }
 

@@ -276,6 +276,17 @@ pub fn flip_bit(bytes: &mut [u8], salt: u64) {
     bytes[pos] ^= 1 << bit;
 }
 
+/// Best-effort text of a caught panic payload — injected
+/// ([`Fault::Panic`]) or real — for the typed failure reports of the
+/// `lab` orchestrator and the serve daemon.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,6 +12,7 @@ use soma_arch::HardwareConfig;
 use soma_model::{zoo, Network};
 
 use crate::hardware::Preset;
+use crate::ExperimentCell;
 
 /// The paper's batch-size grid, enumerated by [`scenarios`].
 pub const REGISTRY_BATCHES: [u32; 4] = [1, 4, 16, 64];
@@ -47,6 +48,20 @@ impl Scenario {
     /// The scenario's platform configuration.
     pub fn hardware(&self) -> HardwareConfig {
         self.preset.config()
+    }
+
+    /// The scenario as an executable cell: registry id, network and
+    /// platform resolved.
+    pub fn cell(&self) -> ExperimentCell {
+        let hw = self.hardware();
+        ExperimentCell {
+            id: self.id(),
+            workload: self.workload.clone(),
+            platform: hw.name.clone(),
+            batch: self.batch,
+            net: self.network(),
+            hw,
+        }
     }
 }
 

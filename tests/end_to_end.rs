@@ -55,16 +55,19 @@ fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
 }
 
 /// The declarative-spec gate: running the committed `specs/fig2_edge.soma`
-/// experiment file through the spec layer reproduces the equivalent
-/// hand-written `Scheduler::new(..).run()` **bit-for-bit, field-for-field**
-/// — the spec layer adds description, never behaviour. CI also executes
-/// the same file through `soma-bench --bin run`.
+/// experiment file through the `lab` orchestrator on a fresh ledger
+/// reproduces the equivalent hand-written `Scheduler::new(..).run()`
+/// **bit-for-bit, field-for-field** — the spec layer adds description,
+/// never behaviour. CI also executes the same file through
+/// `soma-bench --bin lab`.
 #[test]
 fn ci_smoke_spec_run_reproduces_in_code_scheduler() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/fig2_edge.soma");
     let text = std::fs::read_to_string(path).expect("committed spec exists");
     let spec = soma::spec::read_experiment(&text).expect("committed spec parses");
-    let rows = soma_bench::run_experiment(&spec, |_| {});
+    let ledger = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ci_smoke_spec.ledger");
+    let _ = std::fs::remove_dir_all(&ledger);
+    let rows = soma_bench::run_lab(&spec, &ledger, |_| {}).expect("lab run").rows;
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].cell.id, "fig2@edge/b1");
 
