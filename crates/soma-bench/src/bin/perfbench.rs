@@ -297,12 +297,12 @@ fn lab_cold_warm(rc: &RunConfig, scenario_id: &str) -> String {
 }
 
 /// Thread-count scaling of a seed-portfolio run: the same 4-seed
-/// portfolio under `seq` and worker pools of 1/2/4/8 threads. Outcomes
+/// portfolio under `seq` and thread caps of 1/2/4/8. Outcomes
 /// are asserted bit-identical across all five runs before any timing is
 /// reported (the `Parallelism` determinism contract), so the section
 /// can only ever show wall-clock differences. `host_cores` records
 /// what the machine can actually run concurrently — speedups are
-/// bounded by it, not by the pool size.
+/// bounded by it, not by the thread cap.
 fn scaling(rc: &RunConfig) -> String {
     use soma_search::{Parallelism, Scheduler, SearchConfig};
 
@@ -322,15 +322,15 @@ fn scaling(rc: &RunConfig) -> String {
 
     let (baseline, seq_s) = run(Parallelism::Sequential);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // On a single-core host every pool size serializes onto one CPU, so
-    // the section can only measure pool overhead — stamp that into the
+    // On a single-core host every thread cap serializes onto one CPU, so
+    // the section can only measure thread overhead — stamp that into the
     // JSON so nobody reads the numbers as speedups.
     let warning = if host_cores == 1 {
         eprintln!(
             "[perfbench] warning: host reports a single core — scaling numbers measure \
-             thread-pool overhead, not speedup"
+             thread overhead, not speedup"
         );
-        ", \"warning\": \"single-core host: runs measure pool overhead, not speedup\""
+        ", \"warning\": \"single-core host: runs measure thread overhead, not speedup\""
     } else {
         ""
     };

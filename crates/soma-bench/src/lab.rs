@@ -131,7 +131,7 @@ pub struct LabSummary {
 /// In-order ledger flusher: completed cells park in `ready` until every
 /// earlier miss has been written, so the ledger is an in-cell-order
 /// prefix at every instant (the resume guarantee) no matter which order
-/// the pool finishes in. The observer lives here too: `Started` events
+/// the threads finish in. The observer lives here too: `Started` events
 /// are forwarded live as jobs begin, and each cell's `Finished` event is
 /// emitted the moment its row lands in the ledger — live progress, in
 /// flush (cell) order. Worker threads report through the shared mutex

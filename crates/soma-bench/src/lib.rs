@@ -12,9 +12,9 @@
 //!   the quick default {1,4}.
 //! * `SOMA_SEED` — base RNG seed (default 2025; SoMa and Cocco share the
 //!   per-configuration seed, as in the paper's artifact).
-//! * `SOMA_THREADS` — thread policy: `auto` (current/global pool, the
-//!   default), `seq` (inline, no workers), or a fixed worker count
-//!   `N >= 2` (a dedicated scoped pool per parallel region). Never
+//! * `SOMA_THREADS` — thread policy: `auto` (up to one thread per core,
+//!   the default), `seq` (inline, no threads), or a thread count
+//!   `N >= 2` (at most `N` threads per parallel region). Never
 //!   affects results or ledger bytes — wall-clock only.
 //! * `SOMA_WORKLOAD` — case-insensitive substring filter over scenario
 //!   ids (`<workload>@<platform>/b<batch>`), so `resnet` filters

@@ -139,24 +139,27 @@ fn multithreaded_lab_ledger_is_byte_identical_to_sequential() {
     // an N-thread lab run must produce the *same ledger bytes* as the
     // single-thread golden — not just equal outcomes. Cells finish out
     // of order under Fixed(4); the in-order flusher must still append
-    // rows in cell order, and every outcome must be bit-identical.
-    let golden_spec = differential_spec();
-    let golden_path = fresh("threads-golden.ledger");
-    let golden = run_lab(&golden_spec, &golden_path, |_| {}).expect("sequential golden run");
-    let golden_bytes = dir_bytes(&golden_path);
+    // rows in cell order, and every outcome must be bit-identical. The
+    // two-seed spec runs each cell's portfolio as a nested parallel
+    // region inside the fan-out.
+    for seeds in [vec![2025], vec![2025, 7]] {
+        let golden_spec = ExperimentSpec { seeds: seeds.clone(), ..differential_spec() };
+        let golden_path = fresh(&format!("threads-golden-{}seed.ledger", seeds.len()));
+        let golden = run_lab(&golden_spec, &golden_path, |_| {}).expect("sequential golden run");
+        let golden_bytes = dir_bytes(&golden_path);
 
-    for par in [Parallelism::Fixed(2), Parallelism::Fixed(4)] {
-        let mut spec = differential_spec();
-        spec.parallelism = par;
-        let path = fresh(&format!("threads-{par}.ledger"));
-        let got = run_lab(&spec, &path, |_| {}).expect("parallel lab run");
-        assert_eq!((got.hits, got.misses), (0, spec.cells().len()), "{par}: all cold");
-        assert_rows_eq(&golden.rows, &got.rows);
-        assert_eq!(
-            dir_bytes(&path),
-            golden_bytes,
-            "{par}: ledger bytes diverged from the sequential golden"
-        );
+        for par in [Parallelism::Fixed(2), Parallelism::Fixed(4), Parallelism::Auto] {
+            let spec = ExperimentSpec { parallelism: par, ..golden_spec.clone() };
+            let path = fresh(&format!("threads-{par}-{}seed.ledger", seeds.len()));
+            let got = run_lab(&spec, &path, |_| {}).expect("parallel lab run");
+            assert_eq!((got.hits, got.misses), (0, spec.cells().len()), "{par}: all cold");
+            assert_rows_eq(&golden.rows, &got.rows);
+            assert_eq!(
+                dir_bytes(&path),
+                golden_bytes,
+                "{par} x {seeds:?}: ledger bytes diverged from the sequential golden"
+            );
+        }
     }
 }
 

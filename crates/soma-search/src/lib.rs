@@ -10,7 +10,8 @@
 //! stage finished, new best, budget exhausted — so callers can observe,
 //! log, stop early or resume. [`Scheduler::run`] is the
 //! drive-to-completion convenience; with several [`Scheduler::seeds`] it
-//! races one session per seed via `rayon` and returns the envelope best.
+//! races one session per seed on scoped threads (see [`Parallelism`])
+//! and returns the envelope best.
 //!
 //! ```
 //! use soma_arch::HardwareConfig;

@@ -14,48 +14,37 @@
 //! `cell_hash` — cached results stay valid when the machine changes.
 
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread;
 
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use serde::{Deserialize, Serialize};
 
 /// Thread-count policy for a parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Use the current thread pool if the caller already runs on one,
-    /// else the global pool (sized by
-    /// [`std::thread::available_parallelism`]). The default.
+    /// One thread per item, up to
+    /// [`std::thread::available_parallelism`] threads (the caller
+    /// counts as one). The default.
     #[default]
     Auto,
-    /// Run on a dedicated scoped pool with exactly `n` worker threads,
-    /// built for the call and torn down after it. `Fixed(1)` still
-    /// hops onto one worker thread; use [`Sequential`](Self::Sequential)
-    /// for a truly threadless run.
+    /// At most `n` threads, the caller counts as one, started for the
+    /// call and joined before it returns. `Fixed(1)` runs inline like
+    /// [`Sequential`](Self::Sequential).
     Fixed(usize),
-    /// Run inline on the calling thread — no pool, no worker threads.
+    /// Run inline on the calling thread — no worker threads.
     Sequential,
 }
 
 impl Parallelism {
-    /// The worker count this policy resolves to right now: `n` for
-    /// `Fixed(n)`, 1 for `Sequential`, and the current/global pool size
-    /// for `Auto`.
-    pub fn resolved_threads(self) -> usize {
-        match self {
-            Parallelism::Auto => rayon::current_num_threads(),
-            Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Sequential => 1,
-        }
-    }
-
     /// The policy an *inner* parallel region (e.g. the per-cell
     /// portfolio inside a lab fan-out) should inherit from this outer
     /// one. `Sequential` stays sequential — `--threads 1` means no
-    /// threads anywhere. `Fixed(n)` maps to `Auto`: the inner region
-    /// already runs *on* the scoped pool's workers, so `Auto` lets its
-    /// `join`s split across that same pool instead of stacking a second
-    /// dedicated pool per cell.
+    /// threads anywhere. `Fixed(n)` maps to `Auto`: each inner region
+    /// starts its own threads (up to one per seed), so a cell's
+    /// portfolio still runs its seeds side by side inside a fan-out.
     pub fn nested(self) -> Parallelism {
         match self {
             Parallelism::Sequential => Parallelism::Sequential,
@@ -63,26 +52,67 @@ impl Parallelism {
         }
     }
 
+    /// How many threads (caller included) a region over `items` items
+    /// runs on.
+    fn threads_for(self, items: usize) -> usize {
+        let cap = match self {
+            Parallelism::Sequential => 1,
+            Parallelism::Fixed(n) => n,
+            Parallelism::Auto => thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        cap.min(items).max(1)
+    }
+
     /// Maps `f` over `items` under this policy and collects results
-    /// **in input order** (the pool reassembles by slot, so the output
-    /// is identical across all variants — only wall-clock differs).
+    /// **in input order**, so the output is identical across all
+    /// variants — only wall-clock differs.
+    ///
+    /// Threads claim items in input order through one shared index, so
+    /// items start in order and finish in any order. A panic in `f`
+    /// stops further items from being claimed and re-raises in the
+    /// caller with its original payload once every thread has stopped.
     pub fn map_collect<T, R, F>(self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Send + Sync,
     {
-        match self {
-            Parallelism::Sequential => items.into_iter().map(f).collect(),
-            Parallelism::Auto => items.into_par_iter().map(f).collect(),
-            Parallelism::Fixed(n) => {
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(n.max(1))
-                    .build()
-                    .expect("failed to build scoped thread pool");
-                pool.install(|| items.into_par_iter().map(f).collect())
-            }
+        let threads = self.threads_for(items.len());
+        if threads == 1 {
+            return items.into_iter().map(f).collect();
         }
+        let len = items.len();
+        let inputs: Vec<Mutex<Option<T>>> =
+            items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let outputs: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            catch_unwind(AssertUnwindSafe(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    return;
+                }
+                let item = inputs[i].lock().expect("input slot").take().expect("claimed once");
+                let out = f(item);
+                *outputs[i].lock().expect("output slot") = Some(out);
+            }))
+            .inspect_err(|_| next.store(len, Ordering::Relaxed))
+        };
+        let panic = thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            let mine = work();
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("worker panics are caught inside it"))
+                .fold(mine.err(), |first, r| first.or(r.err()))
+        });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        outputs
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("output slot").expect("every item ran"))
+            .collect()
     }
 }
 
@@ -101,7 +131,7 @@ impl FromStr for Parallelism {
 
     /// Parses `auto`, `seq`/`sequential`, or a thread count. `1` means
     /// [`Sequential`](Parallelism::Sequential) (no threads at all), any
-    /// larger count a [`Fixed`](Parallelism::Fixed) pool of that size.
+    /// larger count a [`Fixed`](Parallelism::Fixed) cap of that many threads.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "auto" => Ok(Parallelism::Auto),
@@ -120,6 +150,7 @@ impl FromStr for Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn parses_the_three_forms() {
@@ -157,10 +188,10 @@ mod tests {
         assert_eq!(" -1 ".parse::<Parallelism>().unwrap_err(), msg("-1"));
         assert_eq!("  4 ".parse::<Parallelism>().unwrap(), Parallelism::Fixed(4));
         assert_eq!("auto ".parse::<Parallelism>().unwrap(), Parallelism::Auto);
-        // `usize::from_str` accepts an explicit sign, so `+4` is a pool
+        // `usize::from_str` accepts an explicit sign, so `+4` is a cap
         // of four — pinned here so a change to the parser shows up.
         assert_eq!("+4".parse::<Parallelism>().unwrap(), Parallelism::Fixed(4));
-        // A count beyond usize::MAX is junk, not a saturated pool.
+        // A count beyond usize::MAX is junk, not a saturated cap.
         let huge = "18446744073709551616".parse::<Parallelism>();
         assert!(huge.is_err(), "u64::MAX + 1 must not parse");
     }
@@ -189,10 +220,68 @@ mod tests {
         }
     }
 
+    struct Boom;
+
     #[test]
-    fn resolved_threads_matches_policy() {
-        assert_eq!(Parallelism::Sequential.resolved_threads(), 1);
-        assert_eq!(Parallelism::Fixed(4).resolved_threads(), 4);
-        assert!(Parallelism::Auto.resolved_threads() >= 1);
+    fn a_panic_on_a_spawned_thread_re_raises_with_its_original_payload() {
+        let caller = thread::current().id();
+        for p in [Parallelism::Fixed(4), Parallelism::Auto] {
+            if p.threads_for(16) == 1 {
+                continue; // `Auto` on a one-core host spawns nothing.
+            }
+            let spawned_ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                p.map_collect((0..16).collect(), |i: usize| {
+                    if thread::current().id() != caller {
+                        spawned_ran.fetch_add(1, Ordering::SeqCst);
+                        std::panic::panic_any(Boom);
+                    }
+                    // Keep the caller busy until a spawned thread has
+                    // claimed an item, so the panic cannot be skipped.
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while spawned_ran.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert!(payload.downcast_ref::<Boom>().is_some(), "{p}: payload replaced");
+        }
+    }
+
+    #[test]
+    fn fixed_never_has_more_than_n_items_in_flight() {
+        let n = 3;
+        let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        Parallelism::Fixed(n).map_collect((0..12).collect(), |i: usize| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            // The first `n` items wait for each other (bounded), so a
+            // region of `n` threads is seen at full width.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while i < n && peak.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            thread::sleep(Duration::from_millis(2));
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), n, "Fixed({n}) must run exactly {n} wide");
+    }
+
+    #[test]
+    fn sequential_and_single_item_calls_run_on_the_caller() {
+        let caller = thread::current().id();
+        let on_caller = |p: Parallelism, items: usize| {
+            p.map_collect(vec![(); items], |()| thread::current().id())
+                .into_iter()
+                .all(|id| id == caller)
+        };
+        assert!(on_caller(Parallelism::Sequential, 8));
+        assert!(on_caller(Parallelism::Fixed(1), 8));
+        for p in [Parallelism::Sequential, Parallelism::Fixed(4), Parallelism::Auto] {
+            assert!(on_caller(p, 1), "{p}: one item must run inline");
+            assert!(p.map_collect(Vec::<u8>::new(), |x| x).is_empty());
+        }
     }
 }

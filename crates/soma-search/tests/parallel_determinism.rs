@@ -5,8 +5,8 @@
 //!
 //! This holds by construction (seed results merge in seed-list order
 //! and every seed owns its RNG stream), so any divergence here means a
-//! real bug in the work-stealing pool or the portfolio merge — not an
-//! acceptable scheduling wobble.
+//! real bug in `Parallelism::map_collect` or the portfolio merge — not
+//! an acceptable scheduling wobble.
 
 use proptest::prelude::*;
 use soma_arch::HardwareConfig;
@@ -66,8 +66,8 @@ proptest! {
     }
 }
 
-/// `Auto` (global pool) obeys the same contract as `Fixed(n)` — one
-/// plain test, since the global pool's size is machine-dependent.
+/// `Auto` (one thread per core) obeys the same contract as `Fixed(n)` — one
+/// plain test, since its thread count is machine-dependent.
 #[test]
 fn auto_portfolio_equals_sequential() {
     let seeds = [11, 7, 2025];

@@ -64,6 +64,7 @@ pub use client::{Client, ClientError, RetryPolicy, Submission};
 pub use net::Listen;
 pub use protocol::{
     FrameError, RejectReason, Request, Response, StatsSnapshot, SubmitRequest, Target,
+    MAX_FRAME_BYTES,
 };
 pub use server::{start, ServerConfig, ServerHandle};
 

@@ -490,6 +490,13 @@ impl Response {
     }
 }
 
+/// The longest request frame the daemon reads, newline included. A peer
+/// that sends more without a newline gets an `error` frame naming this
+/// cap and the connection is closed, so no connection can grow an
+/// unbounded read buffer. It sits well above the largest zoo network
+/// submitted inline (a unit test pins that it fits).
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Renders any frame value as its single wire line (no newline).
 pub fn to_line(frame: &Value) -> String {
     json::to_string(frame)
@@ -513,6 +520,27 @@ mod tests {
         assert!(!line.contains('\n'), "frames are single lines: {line}");
         let back = Request::from_json(&parse_line(&line).unwrap()).unwrap();
         assert_eq!(*req, back, "{line}");
+    }
+
+    #[test]
+    fn the_largest_zoo_network_submitted_inline_fits_one_frame() {
+        let largest = soma_model::zoo::entries()
+            .iter()
+            .map(|e| {
+                let network = soma_spec::write_network(&(e.build)(64));
+                let req = Request::Submit(SubmitRequest {
+                    id: format!("inline-{}", e.name),
+                    target: Target::Inline { network, hardware: None },
+                    seeds: vec![2025, 2026, 2027, 2028],
+                    effort: Some(1.0),
+                    progress: true,
+                    deadline_ms: Some(60_000),
+                });
+                (to_line(&req.to_json()).len() + 1, e.name)
+            })
+            .max()
+            .expect("the zoo is not empty");
+        assert!(largest.0 <= MAX_FRAME_BYTES, "{largest:?} exceeds {MAX_FRAME_BYTES}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! completion and their rows are flushed; new submits are refused with
 //! `shutting-down`.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,6 +37,7 @@ use crate::admission::{estimate_evals, Admission};
 use crate::net::{Listen, Listener, Stream};
 use crate::protocol::{
     parse_line, to_line, RejectReason, Request, Response, StatsSnapshot, SubmitRequest, Target,
+    MAX_FRAME_BYTES,
 };
 use crate::{shutdown, PROTOCOL_VERSION};
 
@@ -246,13 +247,16 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 /// Reads one `\n`-terminated line, polling the stop flag across read
 /// timeouts. `Ok(false)` means EOF or stop; partial data read before a
 /// timeout stays in `line` and the next poll continues accumulating.
+/// Reading stops one byte past [`MAX_FRAME_BYTES`], so an overlong
+/// frame shows as a `line` longer than the cap.
 fn read_line_polling(
     reader: &mut BufReader<Stream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shared: &Shared,
 ) -> io::Result<bool> {
     loop {
-        match reader.read_line(line) {
+        let budget = (MAX_FRAME_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', line) {
             Ok(0) => return Ok(false),
             Ok(_) => return Ok(true),
             Err(e)
@@ -288,7 +292,7 @@ fn handle_connection(stream: Stream, shared: &Shared) {
     let Ok(clone) = stream.try_clone() else { return };
     let mut reader = BufReader::new(clone);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
 
     loop {
         line.clear();
@@ -296,6 +300,16 @@ fn handle_connection(stream: Stream, shared: &Shared) {
             Ok(true) => {}
             Ok(false) | Err(_) => return,
         }
+        if line.len() > MAX_FRAME_BYTES {
+            // The rest of the frame is never read: answer once and drop
+            // the connection.
+            let detail = format!(
+                "request frame exceeds {MAX_FRAME_BYTES} bytes without a newline; closing the connection"
+            );
+            let _ = send(&mut writer, shared, &Response::Error { detail });
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else { return };
         if line.trim().is_empty() {
             continue;
         }

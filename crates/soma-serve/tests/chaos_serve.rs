@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use soma_search::record::outcome_to_string;
 use soma_serve::{
     start, Client, ClientError, Listen, RejectReason, RetryPolicy, ServerConfig, SubmitRequest,
-    Target,
+    Target, MAX_FRAME_BYTES,
 };
 use soma_spec::fault::{site, Fault, FaultConfig, FaultPlan};
 use soma_spec::ledger::Ledger;
@@ -292,4 +292,32 @@ fn a_client_vanishing_mid_stream_cancels_the_search_and_caches_nothing() {
         !ledger_path.exists() || fs::read_to_string(&ledger_path).unwrap().is_empty(),
         "discarded search must leave no ledger row"
     );
+}
+
+#[test]
+fn an_endless_request_line_gets_an_error_frame_then_eof_and_the_daemon_survives() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let (handle, _ledger) = server("endless-line", None);
+    let Listen::Unix(path) = handle.listen().clone() else { unreachable!("unix listener") };
+    let mut peer = UnixStream::connect(&path).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // One byte past the cap and never a newline.
+    peer.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+
+    let mut reply = String::new();
+    peer.read_to_string(&mut reply).expect("the daemon answers, then closes (EOF)");
+    let frames: Vec<&str> = reply.lines().collect();
+    assert_eq!(frames.len(), 1, "exactly one frame before EOF: {reply}");
+    let frame = soma_serve::protocol::parse_line(frames[0]).unwrap();
+    let response = soma_serve::Response::from_json(&frame).unwrap();
+    let soma_serve::Response::Error { detail } = response else {
+        panic!("want an error frame, got {response:?}")
+    };
+    assert!(detail.contains(&MAX_FRAME_BYTES.to_string()), "{detail}");
+
+    let mut fresh = Client::connect(handle.listen()).unwrap();
+    fresh.ping().expect("a fresh connection still gets pong");
+    handle.shutdown();
 }
