@@ -4,7 +4,7 @@
 //! accelerator (TSMC 12 nm, 1 GHz). We substitute published-order-of-
 //! magnitude constants for the same technology class; every figure in the
 //! paper reports *normalised* energy, and all compared schemes share these
-//! constants, so ratios are preserved (see DESIGN.md, substitutions).
+//! constants, so ratios are preserved.
 
 use serde::{Deserialize, Serialize};
 

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! Stdout carries the CSV (`scenario,workload,platform,batch,scheme,...`;
-//! one `ours_1` and one `ours_2` row per cell, byte-for-byte pinned by
-//! the golden tests); commentary and the per-cell `LabEvent` stream go
-//! to stderr. Results are keyed into the
+//! one `ours_1` and one `ours_2` row per SoMa cell, one `cocco` row per
+//! Cocco cell, byte-for-byte pinned by the golden tests); commentary and
+//! the per-cell `LabEvent` stream go to stderr. Results are keyed into the
 //! **run ledger** (default `target/lab/<experiment-name>.ledger`, a
 //! binary shard directory; `--ledger <dir>` picks an explicit location,
 //! and `ledger dump <dir>` prints its JSONL view): a rerun of an
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
         println!("{}", soma_bench::version_line("lab"));
         return ExitCode::SUCCESS;
     }
-    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS", "SOMA_WORKLOAD"] {
+    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_WORKLOAD"] {
         if std::env::var_os(knob).is_some() {
             eprintln!("lab: ignoring {knob} — the spec file owns the entire run configuration");
         }

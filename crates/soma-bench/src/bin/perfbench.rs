@@ -250,6 +250,7 @@ fn lab_cold_warm(rc: &RunConfig, scenario_id: &str) -> String {
         workloads: vec![],
         hardware: vec![],
         batches: vec![],
+        schedulers: vec![soma_search::SchedulerKind::Soma],
         seeds: vec![rc.seed],
         config: SearchConfig {
             effort: 0.02 * rc.effort_scale,

@@ -1,8 +1,8 @@
 //! The experiment orchestrator behind `soma-bench --bin lab`: parallel,
 //! resumable, cache-aware execution of an [`ExperimentSpec`].
 //!
-//! An experiment expands into (scenario × config × seed-portfolio)
-//! **cells**; [`run_lab`] executes them as a work queue:
+//! An experiment expands into (scenario × scheduler × config ×
+//! seed-portfolio) **cells**; [`run_lab`] executes them as a work queue:
 //!
 //! * **Cache-aware** — every cell is keyed by a content hash of
 //!   (scenario id, resolved hardware, [`SearchConfig`], seed portfolio,
@@ -27,7 +27,8 @@
 //!
 //! A searched cell's outcome is exactly what the hand-written
 //! `Scheduler::new(&cell.net, &cell.hw).config(spec.config.clone())
-//! .seeds(spec.seeds.clone()).run()` returns — no hidden seed salting,
+//! .seeds(spec.seeds.clone()).run()` returns (`Scheduler::cocco` for a
+//! cell of the spec's `scheduler cocco` axis) — no hidden seed salting,
 //! no effort rescaling — so a committed `.soma` file *is* the run
 //! configuration. [`csv_rows`] renders the rows as the `lab` binary's
 //! stdout CSV.
@@ -40,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use soma_search::{Evaluated, Scheduler, SearchOutcome};
+use soma_search::{Evaluated, SchedulerKind, SearchOutcome};
 use soma_spec::fault::{self, Fault, FaultPlan};
 use soma_spec::{ExperimentCell, ExperimentSpec};
 
@@ -59,6 +60,8 @@ pub use soma_obs::LabEvent;
 pub struct ExperimentRow {
     /// The resolved cell (scenario id, network, platform).
     pub cell: ExperimentCell,
+    /// The search the cell ran.
+    pub scheduler: SchedulerKind,
     /// The search outcome of the cell's seed portfolio.
     pub outcome: SearchOutcome,
 }
@@ -68,10 +71,11 @@ pub struct ExperimentRow {
 pub const CSV_HEADER: &str = "scenario,workload,platform,batch,scheme,latency_cycles,energy_pj,\
                               cost,evals,rejected,lgs,flgs,tiles,dram_tensors";
 
-/// Renders one result row pair (`ours_1` stage-1 snapshot + `ours_2`
-/// final scheme) per cell, in cell order — the body under
-/// [`CSV_HEADER`]. Cached and freshly searched outcomes render
-/// identically because ledger persistence is lossless.
+/// Renders the rows of each cell, in cell order — the body under
+/// [`CSV_HEADER`]: a SoMa cell renders its `ours_1` stage-1 snapshot and
+/// its `ours_2` final scheme, a Cocco cell one `cocco` row. Cached and
+/// freshly searched outcomes render identically because ledger
+/// persistence is lossless.
 pub fn csv_rows(rows: &[ExperimentRow]) -> String {
     use std::fmt::Write as _;
 
@@ -98,8 +102,13 @@ pub fn csv_rows(rows: &[ExperimentRow]) -> String {
         );
     };
     for r in rows {
-        one(&r.cell, "ours_1", &r.outcome.stage1, r);
-        one(&r.cell, "ours_2", &r.outcome.best, r);
+        match r.scheduler {
+            SchedulerKind::Soma => {
+                one(&r.cell, "ours_1", &r.outcome.stage1, r);
+                one(&r.cell, "ours_2", &r.outcome.best, r);
+            }
+            SchedulerKind::Cocco => one(&r.cell, "cocco", &r.outcome.best, r),
+        }
     }
     out
 }
@@ -257,8 +266,9 @@ pub fn run_lab_chaos(
     faults: Option<Arc<FaultPlan>>,
     mut observer: impl FnMut(&LabEvent) + Send,
 ) -> io::Result<LabSummary> {
-    let cells = spec.cells();
-    let keys: Vec<String> = cells.iter().map(|c| cell_key(c, &spec.config, &spec.seeds)).collect();
+    let cells = spec.scheduled_cells();
+    let keys: Vec<String> =
+        cells.iter().map(|(_, c)| cell_key(c, &spec.config, &spec.seeds)).collect();
     // Probe read-only first: a pure replay (every cell already done —
     // the `--require-hits` gate, a `watch`ed campaign being re-checked)
     // must never write, truncate or quarantine anything, even when the
@@ -266,7 +276,7 @@ pub fn run_lab_chaos(
     let mut ledger = Ledger::load_readonly(ledger_path)?;
     let health = ledger.health();
 
-    for (cell, key) in cells.iter().zip(&keys) {
+    for ((_, cell), key) in cells.iter().zip(&keys) {
         observer(&LabEvent::Queued { cell: cell.id.clone(), hash: key.clone() });
     }
 
@@ -280,7 +290,7 @@ pub fn run_lab_chaos(
     // served from the first occurrence, like any other cache hit.
     let mut duplicates: Vec<(usize, usize)> = Vec::new();
     let mut first_claim: HashMap<&str, usize> = HashMap::new();
-    for (i, (cell, key)) in cells.iter().zip(&keys).enumerate() {
+    for (i, ((_, cell), key)) in cells.iter().zip(&keys).enumerate() {
         // A lazy row whose payload is corrupt decodes to `None` and
         // counts as a miss: the cell re-searches and its new row
         // shadows the damaged one (last write wins).
@@ -333,7 +343,7 @@ pub fn run_lab_chaos(
             if stop.load(Ordering::SeqCst) {
                 return None;
             }
-            let cell = &cells[cell_idx];
+            let (kind, cell) = &cells[cell_idx];
             let key = &keys[cell_idx];
             {
                 let mut state = flush.lock().expect("ledger flusher poisoned");
@@ -350,7 +360,7 @@ pub fn run_lab_chaos(
                     }
                     _ => {}
                 }
-                Scheduler::new(&cell.net, &cell.hw)
+                kind.scheduler(&cell.net, &cell.hw)
                     .config(spec.config.clone())
                     .seeds(spec.seeds.iter().copied())
                     .parallelism(spec.parallelism.nested())
@@ -419,12 +429,12 @@ pub fn run_lab_chaos(
     let rows = cells
         .into_iter()
         .zip(outcomes)
-        .filter_map(|(cell, outcome)| {
+        .filter_map(|((scheduler, cell), outcome)| {
             debug_assert!(
                 outcome.is_some() || stopped || failed > 0,
                 "a completed run resolves every cell (hit, flushed miss, or failure)"
             );
-            outcome.map(|outcome| ExperimentRow { cell, outcome })
+            outcome.map(|outcome| ExperimentRow { cell, scheduler, outcome })
         })
         .collect();
     Ok(LabSummary { rows, hits, misses: appended, failed, stopped, health })
@@ -513,6 +523,35 @@ mod tests {
         assert!(csv.contains("fig2@edge/b1,fig2,edge-16tops,1,ours_1,"));
         assert!(csv.contains(",ours_2,"));
         assert_eq!(CSV_HEADER.split(',').count(), csv.lines().next().unwrap().split(',').count());
+    }
+
+    #[test]
+    fn cocco_cells_run_the_cocco_search_and_render_one_row() {
+        let both = read_experiment(&SPEC.replace("end\n", "scheduler soma cocco\nend\n")).unwrap();
+        let path = tmp("cocco.ledger");
+        let rows = run_lab(&both, &path, |_| {}).unwrap().rows;
+        assert_eq!(rows.len(), 2);
+        let (soma, cocco) = (&rows[0], &rows[1]);
+        assert_eq!((soma.scheduler, cocco.scheduler), (SchedulerKind::Soma, SchedulerKind::Cocco));
+        assert_eq!(cocco.cell.id, "fig2@edge/b1+cocco");
+
+        // Each cell is exactly its direct search.
+        let direct = soma_search::Scheduler::cocco(&cocco.cell.net, &cocco.cell.hw)
+            .config(both.config.clone())
+            .seeds(both.seeds.iter().copied())
+            .run();
+        assert_eq!(cocco.outcome, direct);
+        // The soma cell keeps the key (and outcome) of a spec without
+        // the directive: adding the Cocco axis invalidates nothing.
+        let plain = read_experiment(SPEC).unwrap();
+        let replay = run_lab(&plain, &path, |_| {}).unwrap();
+        assert_eq!((replay.hits, replay.misses), (1, 0));
+        assert_eq!(replay.rows[0].outcome, soma.outcome);
+
+        let csv = csv_rows(&rows);
+        let schemes: Vec<&str> = csv.lines().map(|l| l.split(',').nth(4).unwrap()).collect();
+        assert_eq!(schemes, ["ours_1", "ours_2", "cocco"]);
+        assert!(csv.lines().nth(2).unwrap().starts_with("fig2@edge/b1+cocco,fig2,edge-16tops,1,"));
     }
 
     #[test]

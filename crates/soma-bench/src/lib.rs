@@ -1,25 +1,22 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! The experiment harness: the `lab` orchestrator behind every paper
+//! campaign, the `serve` load generator, and the shared helpers of the
+//! remaining figure binaries.
 //!
-//! Each binary regenerates one figure/table of the paper (see DESIGN.md's
-//! per-experiment index) and prints CSV to stdout plus commentary to
-//! stderr. All binaries share one documented knob surface, parsed once by
-//! [`RunConfig::from_env`]:
+//! The paper's campaigns (Fig. 2, Fig. 6, Fig. 7 and the ablation) are
+//! committed `specs/*.soma` files that run through [`run_lab`] (see the
+//! README's *Reproducing the paper's figures* section). The three
+//! binaries that are not campaigns — `fig3` and `fig8` (per-scheme
+//! analyses of one search) and `perfbench` — print CSV or JSON to stdout
+//! plus commentary to stderr, and share one knob surface, parsed once
+//! by [`RunConfig::from_env`]:
 //!
 //! * `SOMA_EFFORT` — multiplier on the per-workload search effort
 //!   (default 1.0; the built-in per-workload efforts are already scaled
-//!   down from paper budgets so the full harness runs on a laptop).
-//! * `SOMA_FULL=1` — sweep all four batch sizes {1,4,16,64} instead of
-//!   the quick default {1,4}.
-//! * `SOMA_SEED` — base RNG seed (default 2025; SoMa and Cocco share the
-//!   per-configuration seed, as in the paper's artifact).
-//! * `SOMA_THREADS` — thread policy: `auto` (up to one thread per core,
-//!   the default), `seq` (inline, no threads), or a thread count
-//!   `N >= 2` (at most `N` threads per parallel region). Never
-//!   affects results or ledger bytes — wall-clock only.
+//!   down from paper budgets so the harness runs on a laptop).
+//! * `SOMA_SEED` — base RNG seed (default 2025).
 //! * `SOMA_WORKLOAD` — case-insensitive substring filter over scenario
 //!   ids (`<workload>@<platform>/b<batch>`), so `resnet` filters
-//!   workloads, `@edge` platforms and `/b4` batch sizes; binaries that
-//!   sweep a suite skip non-matching scenarios.
+//!   workloads, `@edge` platforms and `/b4` batch sizes.
 //!
 //! Unparseable values are a **hard error** — a typo'd knob aborts the run
 //! instead of silently falling back to a default and producing a
@@ -54,8 +51,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_model::Network;
-use soma_search::{Parallelism, SearchConfig};
-use soma_spec::registry::{suite, Scenario};
+use soma_search::SearchConfig;
 use soma_spec::Preset;
 
 /// A `SOMA_*` environment variable that failed to parse.
@@ -103,12 +99,6 @@ pub struct RunConfig {
     pub effort_scale: f64,
     /// Base RNG seed (`SOMA_SEED`).
     pub seed: u64,
-    /// Sweep the full batch grid {1,4,16,64} (`SOMA_FULL=1`).
-    pub full: bool,
-    /// Thread policy (`SOMA_THREADS`): `auto`, `seq`, or a fixed worker
-    /// count. Wall-clock only — never an input to results, ledger bytes
-    /// or cache keys.
-    pub threads: Parallelism,
     /// Scenario-id substring filter (`SOMA_WORKLOAD`, empty = all;
     /// case-insensitive, matched against `<workload>@<platform>/b<batch>`
     /// registry ids and against bare workload names).
@@ -117,13 +107,7 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            effort_scale: 1.0,
-            seed: 2025,
-            full: false,
-            threads: Parallelism::Auto,
-            workload: String::new(),
-        }
+        Self { effort_scale: 1.0, seed: 2025, workload: String::new() }
     }
 }
 
@@ -137,14 +121,6 @@ impl RunConfig {
         }
         if let Some(v) = parse_var::<u64>("SOMA_SEED", "an unsigned integer seed")? {
             rc.seed = v;
-        }
-        if let Some(v) = parse_var::<u64>("SOMA_FULL", "0 or 1")? {
-            rc.full = v != 0;
-        }
-        if let Some(v) =
-            parse_var::<Parallelism>("SOMA_THREADS", "`auto`, `seq`, or a thread count >= 1")?
-        {
-            rc.threads = v;
         }
         if let Some(v) = parse_var::<String>("SOMA_WORKLOAD", "a scenario-id substring")? {
             rc.workload = v;
@@ -161,19 +137,12 @@ impl RunConfig {
         })
     }
 
-    /// Batch sizes to sweep: {1,4} by default, {1,4,16,64} under `full`.
-    pub fn batch_sizes(&self) -> Vec<u32> {
-        if self.full {
-            vec![1, 4, 16, 64]
-        } else {
-            vec![1, 4]
-        }
-    }
-
     /// Per-workload search effort, scaled so deep transformers stay
     /// tractable: the cost of one SA iteration grows with layer and
     /// tensor count, so the effort shrinks correspondingly.
-    /// `effort_scale` multiplies the result.
+    /// `effort_scale` multiplies the result. A spec reproduces this
+    /// stage-1 budget with `effort s` plus `stage1_cap 12000·s`
+    /// (`specs/fig6.soma`).
     pub fn effort_for(&self, net: &Network) -> f64 {
         let layers = net.len() as f64;
         // Budget roughly constant total work: ~8000 stage-1 iterations.
@@ -213,24 +182,9 @@ impl RunConfig {
     }
 }
 
-/// The two evaluation platforms of the paper (Sec. VI-A1).
-pub fn platforms() -> Vec<HardwareConfig> {
-    vec![HardwareConfig::edge(), HardwareConfig::cloud()]
-}
-
-/// Workloads for a platform (paper Fig. 6), resolved through the
-/// scenario registry: edge-derived platforms run the edge suite
-/// (GPT-2-Small at 512 tokens), everything else the cloud suite
-/// (GPT-2-XL at 1024).
-pub fn workloads(platform: &HardwareConfig, batch: u32) -> Vec<Network> {
-    let preset = Preset::of(platform).unwrap_or(Preset::Cloud);
-    suite(preset, batch).iter().map(Scenario::network).collect()
-}
-
 /// The registry key for one harness output row: the stable scenario id
 /// when `platform` *is* a registry preset, otherwise the same shape with
-/// the resolved platform name (e.g. a fig7 sweep point
-/// `resnet50@edge-8MB-32GBps/b4`).
+/// the resolved platform name (e.g. `resnet50@edge-8MB-32GBps/b4`).
 pub fn scenario_key(platform: &HardwareConfig, workload: &str, batch: u32) -> String {
     match Preset::of(platform) {
         Some(p) if p.config() == *platform => soma_spec::scenario_id(workload, p, batch),
@@ -278,14 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn platforms_match_paper() {
-        let p = platforms();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p[0].peak_tops(), 16.0);
-        assert_eq!(p[1].peak_tops(), 128.0);
-    }
-
-    #[test]
     fn workload_filter_matches_substrings() {
         let rc = RunConfig { workload: "fig2".into(), ..RunConfig::default() };
         assert!(rc.selects(&zoo::fig2(1)));
@@ -324,13 +270,6 @@ mod tests {
         // A derived sweep point is not the registry preset: keyed by its
         // resolved name instead.
         assert_eq!(scenario_key(&swept, "resnet50", 4), "resnet50@edge-8MB-32GBps/b4");
-    }
-
-    #[test]
-    fn batch_grid_tracks_full_flag() {
-        assert_eq!(RunConfig::default().batch_sizes(), vec![1, 4]);
-        let full = RunConfig { full: true, ..RunConfig::default() };
-        assert_eq!(full.batch_sizes(), vec![1, 4, 16, 64]);
     }
 
     #[test]

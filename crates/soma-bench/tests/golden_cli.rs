@@ -18,10 +18,16 @@
 //! migrate` imports the committed goldens (v2, and the same rows as v1)
 //! back to the identical dump, `ledger dump` fails with a typed error
 //! on a rotted frame, and `lab`/`serve` refuse a JSONL ledger path.
+//!
+//! `specs/fig6_ci.soma` (the paper's Fig. 6 at CI scale, SoMa and Cocco
+//! cells) pins its CSV, checks the paper's SoMa-vs-Cocco claim on it,
+//! and feeds the `stats` binary, whose input failures are pinned too.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use soma_search::SchedulerKind;
 
 fn repo_spec(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs").join(name)
@@ -50,7 +56,7 @@ fn bless() -> bool {
 fn run_bin(exe: &str, args: &[&str]) -> (String, String, bool) {
     let mut cmd = Command::new(exe);
     cmd.args(args);
-    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS", "SOMA_WORKLOAD"] {
+    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_WORKLOAD"] {
         cmd.env_remove(knob);
     }
     let out = cmd.output().unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
@@ -109,7 +115,9 @@ fn assert_golden(got: &[u8], golden: &str) {
 /// One spec through `lab`: the cold CSV matches the golden, the
 /// ledger's dump matches its golden, a warm pass is 100 % hits with
 /// identical output, and a cold 4-thread pass hits the same goldens.
-fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
+/// Without a committed ledger golden (its dump would be megabytes), the
+/// three dumps must still be identical. Returns the cold ledger.
+fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: Option<&str>) -> PathBuf {
     let spec = repo_spec(spec_file);
     let spec = spec.to_str().expect("utf-8 path");
 
@@ -118,13 +126,16 @@ fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
     let (cold_csv, _, ok) = run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", ledger_arg]);
     assert!(ok, "lab (cold) failed on {spec_file}");
     assert_golden(cold_csv.as_bytes(), csv_golden);
-    assert_golden(dump(&ledger).as_bytes(), ledger_golden);
+    let cold_dump = dump(&ledger);
+    if let Some(golden) = ledger_golden {
+        assert_golden(cold_dump.as_bytes(), golden);
+    }
 
     let (warm_csv, warm_err, ok) =
         run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", ledger_arg, "--require-hits"]);
     assert!(ok, "lab (warm) was not 100% hits on {spec_file}:\n{warm_err}");
     assert_eq!(warm_csv, cold_csv, "{spec_file}: warm lab CSV != cold CSV");
-    assert_golden(dump(&ledger).as_bytes(), ledger_golden);
+    assert!(dump(&ledger) == cold_dump, "{spec_file}: a warm run changed the ledger");
 
     // A cold 4-thread pass must hit the *same* goldens: thread policy is
     // wall-clock only, down to the ledger bytes.
@@ -134,17 +145,114 @@ fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
         run_bin(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", t4_arg, "--threads", "4"]);
     assert!(ok, "lab (cold, --threads 4) failed on {spec_file}");
     assert_eq!(t4_csv, cold_csv, "{spec_file}: 4-thread lab CSV != cold CSV");
-    assert_golden(dump(&t4).as_bytes(), ledger_golden);
+    assert!(dump(&t4) == cold_dump, "{spec_file}: 4-thread ledger != sequential ledger");
+    ledger
 }
 
 #[test]
 fn golden_fig2_edge() {
-    check_spec("fig2_edge.soma", "fig2_edge.csv", "fig2_edge.ledger.jsonl");
+    check_spec("fig2_edge.soma", "fig2_edge.csv", Some("fig2_edge.ledger.jsonl"));
 }
 
 #[test]
 fn golden_fig_pair_edge() {
-    check_spec("fig_pair_edge.soma", "fig_pair_edge.csv", "fig_pair_edge.ledger.jsonl");
+    check_spec("fig_pair_edge.soma", "fig_pair_edge.csv", Some("fig_pair_edge.ledger.jsonl"));
+}
+
+/// The CI-scale Fig. 6 campaign: the CSV is pinned, and `stats` reads
+/// the campaign's ledger and pairs all twelve scenarios.
+#[test]
+fn golden_fig6_ci() {
+    let ledger = check_spec("fig6_ci.soma", "fig6_ci.csv", None);
+    let (out, err, ok) =
+        run_bin(env!("CARGO_BIN_EXE_stats"), &[ledger.to_str().expect("utf-8 path")]);
+    assert!(ok, "stats failed on the fig6_ci ledger:\n{err}");
+    assert!(out.contains("SoMa vs Cocco over 12 configurations"), "{out}");
+}
+
+/// The paper's qualitative claim (Sec. VI-B), as the paper states it —
+/// an average: over the cells of `specs/fig6_ci.soma`, the geomean of
+/// Cocco latency / SoMa `ours_2` latency is at least 1. It reads the
+/// committed golden CSV, which `golden_fig6_ci` pins byte-for-byte to
+/// what `lab` produces. The message lists every scenario where SoMa
+/// loses.
+#[test]
+fn fig6_ci_soma_wins_on_geomean_latency() {
+    let csv = fs::read_to_string(golden_path("fig6_ci.csv")).expect("committed golden");
+    let mut ours = std::collections::BTreeMap::new();
+    let mut cocco = std::collections::BTreeMap::new();
+    for line in csv.lines().skip(1) {
+        let f: Vec<&str> = line.split(',').collect();
+        let latency: f64 = f[5].parse().expect("latency column");
+        let (scenario, kind) = soma_spec::split_cell_id(f[0]);
+        match (kind, f[4]) {
+            (SchedulerKind::Soma, "ours_2") => ours.insert(scenario.to_string(), latency),
+            (SchedulerKind::Cocco, _) => cocco.insert(scenario.to_string(), latency),
+            _ => None,
+        };
+    }
+    assert_eq!(ours.len(), 12, "one ours_2 row per scenario");
+    assert_eq!(ours.keys().collect::<Vec<_>>(), cocco.keys().collect::<Vec<_>>());
+    let losses: Vec<String> = ours
+        .iter()
+        .filter(|(s, o)| **o > cocco[*s])
+        .map(|(s, o)| format!("{s}: ours_2 {o} vs cocco {} cycles", cocco[s]))
+        .collect();
+    let log_sum: f64 = ours.iter().map(|(s, o)| (cocco[s] / o).ln()).sum();
+    let geomean = (log_sum / ours.len() as f64).exp();
+    assert!(
+        geomean >= 1.0,
+        "geomean Cocco/ours_2 latency {geomean:.4} < 1; SoMa loses on:\n{}",
+        losses.join("\n")
+    );
+}
+
+/// `stats` fails loudly on bad input, exit 2: a path that is not a
+/// ledger directory is named, and so is every scenario that lacks its
+/// `cocco` or `soma` cell.
+#[test]
+fn stats_rejects_non_ledgers_and_unpaired_scenarios() {
+    let stats = env!("CARGO_BIN_EXE_stats");
+    let missing = tmp("stats-no-such.ledger");
+    let _ = fs::remove_dir_all(&missing);
+    let file = golden_path("fig2_edge.csv");
+    for path in [&missing, &file] {
+        let (_, err, ok) = run_bin(stats, &[path.to_str().unwrap()]);
+        assert!(!ok, "stats accepted {}", path.display());
+        assert!(err.contains(&format!("{} is not a ledger directory", path.display())), "{err}");
+    }
+    let out = Command::new(stats).arg(&missing).output().expect("spawn stats");
+    assert_eq!(out.status.code(), Some(2));
+
+    // A SoMa-only campaign (two scenarios) and one Cocco cell for a third.
+    let ledger = fresh("stats-unpaired.ledger");
+    let ledger_arg = ledger.to_str().unwrap();
+    let pair = repo_spec("fig_pair_edge.soma");
+    let (_, err, ok) =
+        run_bin(env!("CARGO_BIN_EXE_lab"), &[pair.to_str().unwrap(), "--ledger", ledger_arg]);
+    assert!(ok, "{err}");
+    let cocco_only = tmp("stats-cocco-only.soma");
+    fs::write(
+        &cocco_only,
+        "soma-experiment v1\nname c\nscenario fig2@edge/b4\nscheduler cocco\nseeds 1\n\
+         effort 0.01\nend\n",
+    )
+    .unwrap();
+    let (_, err, ok) =
+        run_bin(env!("CARGO_BIN_EXE_lab"), &[cocco_only.to_str().unwrap(), "--ledger", ledger_arg]);
+    assert!(ok, "{err}");
+
+    let out = Command::new(stats).arg(&ledger).output().expect("spawn stats");
+    assert_eq!(out.status.code(), Some(2), "unpaired scenarios are exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    for want in [
+        "fig2@edge/b1 lacks its cocco cell",
+        "fig4@edge/b1 lacks its cocco cell",
+        "fig2@edge/b4 lacks its soma cell",
+    ] {
+        assert!(err.contains(want), "missing `{want}` in:\n{err}");
+    }
+    assert!(out.stdout.is_empty(), "no numbers over a partial pairing");
 }
 
 /// `--require-hits` on a cold ledger must fail with exit status 3 — the

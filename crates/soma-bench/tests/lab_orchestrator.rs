@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use soma_bench::{run_lab, run_lab_until, ExperimentRow, LabEvent, Ledger};
-use soma_search::{Evaluated, Parallelism, Scheduler, SearchConfig};
+use soma_search::{Evaluated, Parallelism, Scheduler, SchedulerKind, SearchConfig};
 use soma_spec::registry::scenarios;
 use soma_spec::{read_experiment, ExperimentSpec};
 
@@ -82,6 +82,7 @@ fn differential_spec() -> ExperimentSpec {
         workloads: vec![],
         hardware: vec![],
         batches: vec![],
+        schedulers: vec![SchedulerKind::Soma],
         seeds: vec![2025],
         config: SearchConfig { effort: 0.005, seed: 2025, ..SearchConfig::default() },
         parallelism: Parallelism::Sequential,
@@ -98,7 +99,7 @@ fn direct_rows(spec: &ExperimentSpec) -> Vec<ExperimentRow> {
                 .config(spec.config.clone())
                 .seeds(spec.seeds.iter().copied())
                 .run();
-            ExperimentRow { cell: c, outcome }
+            ExperimentRow { cell: c, scheduler: SchedulerKind::Soma, outcome }
         })
         .collect()
 }

@@ -1,7 +1,7 @@
 //! GPT-2 (Radford et al., 2019) prefill and decode graphs, plus the
 //! Transformer-Large encoder used by the paper's Fig. 3(b).
 //!
-//! Modelling notes (see DESIGN.md):
+//! Modelling notes:
 //!
 //! * Transformer activations map `seq -> h`, `hidden -> c` so the
 //!   scheduler's batch/h tiling tiles the token dimension.

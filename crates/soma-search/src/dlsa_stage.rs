@@ -331,13 +331,7 @@ pub fn run_stage2(
     }
 
     let iters = cfg.stage2_iters(picker.len());
-    let schedule = SaSchedule {
-        t0: cfg.t0,
-        alpha: cfg.alpha,
-        iters,
-        greedy_tail: iters / 10,
-        time_budget: cfg.stage_time_budget(),
-    };
+    let schedule = SaSchedule { t0: cfg.t0, alpha: cfg.alpha, iters, greedy_tail: iters / 10 };
     let engine = obj.compile(plan);
     let result: SaResult<Dlsa> = {
         let mut state = Stage2Anneal {

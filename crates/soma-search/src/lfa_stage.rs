@@ -214,13 +214,7 @@ pub fn run_stage1(
         obj.eval_lfa(&init, buffer_limit).expect("the unfused initial solution must always parse");
 
     let iters = cfg.stage1_iters(net.len());
-    let schedule = SaSchedule {
-        t0: cfg.t0,
-        alpha: cfg.alpha,
-        iters,
-        greedy_tail: iters / 10,
-        time_budget: cfg.stage_time_budget(),
-    };
+    let schedule = SaSchedule { t0: cfg.t0, alpha: cfg.alpha, iters, greedy_tail: iters / 10 };
     // The SA inner loop takes the engine's cost-only fast path (same
     // cost bits as `eval_lfa`, no report/timeline construction).
     let result = anneal(&schedule, rng, init, init_cost, |lfa, rng| {

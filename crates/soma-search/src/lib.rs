@@ -52,7 +52,7 @@
 //! * [`parallelism`] — the [`Parallelism`] thread-count policy
 //!   (`Auto | Fixed(n) | Sequential`) threaded through every parallel
 //!   region in the workspace; results are bit-identical across variants.
-//! * [`allocator`] — the outcome type and the blocking [`schedule`] shim.
+//! * [`allocator`] — the [`SearchOutcome`] type and its shape statistics.
 //! * [`record`] — lossless, deterministic [`SearchOutcome`] ⇄ JSON and
 //!   ⇄ binary conversion for the experiment run ledger, plus
 //!   [`ENGINE_VERSION`].
@@ -60,7 +60,6 @@
 //!   length-prefixed strings) under the binary ledger frames.
 //! * [`cocco`] — the restricted baseline: FLC set == DRAM cut set,
 //!   KC-parallelism heuristic tiling, double-buffer DLSA.
-//! * [`sweep`] — design-space exploration grids over hardware points.
 
 pub mod allocator;
 pub mod cocco;
@@ -72,11 +71,10 @@ pub mod record;
 pub mod sa;
 pub mod session;
 pub mod stage;
-pub mod sweep;
 pub mod wire;
 
-pub use allocator::{schedule, SearchOutcome};
-pub use cocco::{cocco_tiling, schedule_cocco, CoccoStage};
+pub use allocator::SearchOutcome;
+pub use cocco::{cocco_tiling, CoccoStage};
 pub use dlsa_stage::{DlsaEditor, DlsaMove, DlsaStage, SizeWeightedPicker};
 pub use lfa_stage::LfaStage;
 pub use objective::{CostWeights, Evaluated, Objective};
@@ -86,9 +84,8 @@ pub use record::{
     RecordError, ENGINE_VERSION,
 };
 pub use sa::{anneal, anneal_inplace, AnnealState, SaResult, SaSchedule};
-pub use session::{Cancelled, Scheduler, SearchEvent, SearchSession, StepOutcome};
+pub use session::{Cancelled, Scheduler, SchedulerKind, SearchEvent, SearchSession, StepOutcome};
 pub use stage::{RoundCtx, SearchStage, StageArtifact, StageSpec};
-pub use sweep::{dse, envelope, grid, DsePoint, GridPoint};
 
 use serde::{Deserialize, Serialize};
 
@@ -114,7 +111,8 @@ pub struct SearchConfig {
     pub max_allocator_iters: usize,
     /// Hard cap on stage-1 iterations per allocator round (bounds runtime
     /// on very deep networks such as GPT-2-XL; the paper instead bounds
-    /// wall-clock with a termination time).
+    /// wall-clock with a termination time, which would make an outcome
+    /// depend on host speed).
     pub stage1_cap: u64,
     /// Hard cap on stage-2 iterations per allocator round.
     pub stage2_cap: u64,
@@ -123,10 +121,6 @@ pub struct SearchConfig {
     /// add/delete-FLC and add/delete-DRAM-cut operators collapse into a
     /// single linked pair, as in Cocco's space but with free tiling).
     pub link_cuts: bool,
-    /// Optional per-stage wall-clock budget in seconds (0 = unlimited).
-    /// Past the budget, an annealing stage finishes with its greedy tail
-    /// (the paper's "additional termination time").
-    pub stage_time_budget_secs: f64,
 }
 
 impl Default for SearchConfig {
@@ -142,7 +136,6 @@ impl Default for SearchConfig {
             stage1_cap: 500_000,
             stage2_cap: 2_000_000,
             link_cuts: false,
-            stage_time_budget_secs: 0.0,
         }
     }
 }
@@ -158,11 +151,5 @@ impl SearchConfig {
     /// (`beta = 1000` scaled by `effort`, capped by `stage2_cap`).
     pub fn stage2_iters(&self, tensors: usize) -> u64 {
         ((1000.0 * tensors as f64 * self.effort) as u64).max(80).min(self.stage2_cap)
-    }
-
-    /// The per-stage wall-clock budget as a `Duration`, if set.
-    pub fn stage_time_budget(&self) -> Option<std::time::Duration> {
-        (self.stage_time_budget_secs > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(self.stage_time_budget_secs))
     }
 }

@@ -1,11 +1,11 @@
-//! The [`Parallelism`] knob: how a portfolio run, lab fan-out or
-//! experiment sweep spreads across threads.
+//! The [`Parallelism`] knob: how a portfolio run or a lab fan-out
+//! spreads across threads.
 //!
 //! Every parallel site in the workspace takes an explicit `Parallelism`
-//! instead of consulting ad-hoc globals — [`Scheduler::parallelism`]
-//! (crate::Scheduler::parallelism), `RunConfig.threads`, the `threads`
-//! directive of an experiment spec, and the `--threads` flag of the
-//! `lab` binary all carry this type.
+//! instead of consulting ad-hoc globals —
+//! [`Scheduler::parallelism`](crate::Scheduler::parallelism), the
+//! `threads` directive of an experiment spec, and the `--threads` flag
+//! of the `lab` binary all carry this type.
 //!
 //! Determinism: outcomes and ledger bytes are **bit-identical across
 //! all variants**. Work is merged in submission order (never completion
@@ -173,8 +173,8 @@ mod tests {
 
     #[test]
     fn hostile_inputs_pin_their_exact_error_message() {
-        // The message is part of the CLI/env contract (`--threads`,
-        // `SOMA_THREADS` surface it verbatim) — pin it exactly.
+        // The message is part of the CLI contract (`--threads` and the
+        // spec's `threads` directive surface it verbatim) — pin it exactly.
         let msg = |input: &str| {
             format!(
                 "invalid parallelism `{}`: expected `auto`, `seq`, or a thread count >= 1",

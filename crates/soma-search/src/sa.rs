@@ -13,13 +13,10 @@ pub struct SaSchedule {
     /// Total iteration count `N`.
     pub iters: u64,
     /// Extra iterations after cool-down that accept only improvements
-    /// (the paper's optional greedy termination phase).
+    /// (the paper's optional greedy termination phase). The paper starts
+    /// this phase at a wall-clock termination time; here it starts after
+    /// `iters` proposals, so an outcome is a pure function of its inputs.
     pub greedy_tail: u64,
-    /// Optional wall-clock budget: once elapsed, the annealer jumps
-    /// straight to the greedy tail ("once this time is reached, the
-    /// algorithm performs Y more iterations, accepting only improved
-    /// solutions" — paper Sec. V-C).
-    pub time_budget: Option<std::time::Duration>,
 }
 
 impl SaSchedule {
@@ -57,7 +54,7 @@ pub struct SaResult<S> {
 ///
 /// This is a thin cloning adapter over [`anneal_inplace`], so the two
 /// entry points share one control loop by construction (same cooling,
-/// time-budget, greedy-tail and acceptance logic — and therefore the
+/// greedy-tail and acceptance logic — and therefore the
 /// same RNG stream for equivalent proposal draws).
 pub fn anneal<S: Clone, R: Rng>(
     schedule: &SaSchedule,
@@ -138,28 +135,9 @@ pub fn anneal_inplace<R: Rng, P: AnnealState<R>>(
     let mut best_cost = init_cost;
     let mut evaluated = 0;
     let mut accepted = 0;
-    let started = std::time::Instant::now();
 
-    let total = schedule.iters + schedule.greedy_tail;
-    let mut greedy_since: Option<u64> = None;
-    for n in 0..total {
-        if greedy_since.is_none() {
-            if n >= schedule.iters {
-                greedy_since = Some(n);
-            } else if n % 64 == 0 {
-                if let Some(budget) = schedule.time_budget {
-                    if started.elapsed() >= budget {
-                        greedy_since = Some(n); // termination time reached
-                    }
-                }
-            }
-        }
-        let greedy = greedy_since.is_some();
-        if let Some(since) = greedy_since {
-            if n - since >= schedule.greedy_tail {
-                break; // Y greedy iterations done
-            }
-        }
+    for n in 0..schedule.iters + schedule.greedy_tail {
+        let greedy = n >= schedule.iters;
         let Some(cost) = state.propose(rng) else {
             continue;
         };
@@ -198,7 +176,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn sched(iters: u64) -> SaSchedule {
-        SaSchedule { t0: 0.2, alpha: 4.0, iters, greedy_tail: iters / 10, time_budget: None }
+        SaSchedule { t0: 0.2, alpha: 4.0, iters, greedy_tail: iters / 10 }
     }
 
     #[test]
@@ -236,7 +214,7 @@ mod tests {
     fn greedy_tail_never_worsens() {
         // With only-worse proposals in the tail, best stays put.
         let mut rng = StdRng::seed_from_u64(2);
-        let s = SaSchedule { t0: 0.2, alpha: 4.0, iters: 0, greedy_tail: 100, time_budget: None };
+        let s = SaSchedule { t0: 0.2, alpha: 4.0, iters: 0, greedy_tail: 100 };
         let r = anneal(&s, &mut rng, 5i64, 5.0, |&x, _| Some((x + 1, 1000.0)));
         assert_eq!(r.best, 5);
         assert_eq!(r.accepted, 0);

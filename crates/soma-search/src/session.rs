@@ -4,11 +4,10 @@
 //! [`step`](SearchSession::step) advances exactly one Buffer Allocator
 //! round, emitting typed [`SearchEvent`]s along the way.
 //!
-//! The monolithic entry points [`schedule`](crate::schedule) and
-//! [`schedule_cocco`](crate::schedule_cocco) are thin shims over this
-//! module and produce bit-identical results at the same seed: a session
-//! drives the same objective, the same RNG stream and the same allocator
-//! policy, it just hands control back between rounds.
+//! [`SchedulerKind`] names the two searches ([`Scheduler::new`] and
+//! [`Scheduler::cocco`]) as data: it is the typed form of an experiment
+//! spec's `scheduler` directive and the one place a name picks a
+//! constructor.
 //!
 //! Multi-seed portfolio mode ([`Scheduler::seeds`]) races N independent
 //! sessions across threads and returns the envelope best (ties go to
@@ -90,6 +89,56 @@ pub enum StepOutcome {
     Running,
     /// The session is finished; take the [`SearchOutcome`].
     Finished,
+}
+
+/// Which search a [`Scheduler`] runs — the typed form of the
+/// `soma-experiment` `scheduler` directive. Callers that pick a search
+/// by name dispatch through [`scheduler`](Self::scheduler), the one
+/// place a name maps to a constructor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedulerKind {
+    /// The full SoMa framework ([`Scheduler::new`]). The default.
+    #[default]
+    Soma,
+    /// The Cocco baseline ([`Scheduler::cocco`]).
+    Cocco,
+}
+
+impl SchedulerKind {
+    /// The directive name: `soma` or `cocco`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerKind::Soma => "soma",
+            SchedulerKind::Cocco => "cocco",
+        }
+    }
+
+    /// The builder for this search over one network + hardware pair.
+    pub fn scheduler<'a, 'o>(self, net: &'a Network, hw: &'a HardwareConfig) -> Scheduler<'a, 'o> {
+        match self {
+            SchedulerKind::Soma => Scheduler::new(net, hw),
+            SchedulerKind::Cocco => Scheduler::cocco(net, hw),
+        }
+    }
+}
+
+impl std::fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for SchedulerKind {
+    type Err = String;
+
+    /// Parses `soma` or `cocco`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "soma" => Ok(SchedulerKind::Soma),
+            "cocco" => Ok(SchedulerKind::Cocco),
+            other => Err(format!("unknown scheduler `{other}` (expected soma|cocco)")),
+        }
+    }
 }
 
 /// The typed "search was cancelled" error returned by
@@ -694,6 +743,25 @@ mod tests {
             .cancel_when(&probe)
             .run_cancellable();
         assert_eq!(res.unwrap_err(), Cancelled);
+    }
+
+    #[test]
+    fn scheduler_kinds_dispatch_to_their_constructors_and_round_trip_names() {
+        let net = zoo::fig2(1);
+        let hw = HardwareConfig::edge();
+        for (kind, direct) in [
+            (SchedulerKind::Soma, Scheduler::new(&net, &hw)),
+            (SchedulerKind::Cocco, Scheduler::cocco(&net, &hw)),
+        ] {
+            assert_eq!(kind.name().parse::<SchedulerKind>(), Ok(kind));
+            let via = kind.scheduler(&net, &hw).config(quick(9)).run();
+            let direct = direct.config(quick(9)).run();
+            assert_eq!(via.best.encoding, direct.best.encoding, "{kind}");
+            assert_eq!(via.best.cost.to_bits(), direct.best.cost.to_bits(), "{kind}");
+        }
+        assert_eq!(SchedulerKind::default(), SchedulerKind::Soma);
+        let err = "Cocco".parse::<SchedulerKind>().unwrap_err();
+        assert_eq!(err, "unknown scheduler `Cocco` (expected soma|cocco)");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! workload resnet50              # ...or a workload × hardware × batch grid
 //! hardware cloud buffer_mib=16
 //! batch 1 4
+//! scheduler soma cocco
 //! seeds 2025
 //! effort 0.01
 //! end
@@ -18,33 +19,44 @@
 //! `hardware` × `batch` lines span a grid that is appended after the
 //! explicit scenarios (batch defaults to 1 if no `batch` line is given).
 //! `hardware` takes a preset id plus optional inline `field=value`
-//! overrides with [`HardwareSpec`](crate::HardwareSpec) semantics. The
+//! overrides with [`HardwareSpec`] semantics; give
+//! each overridden point its own `name=` so the points key apart.
+//! `scheduler` lists the searches every scenario runs, in cell order:
+//! `soma` ([`Scheduler::new`](soma_search::Scheduler::new), the default)
+//! and/or `cocco` ([`Scheduler::cocco`](soma_search::Scheduler::cocco)).
+//! A `soma` cell keeps the bare scenario id; a `cocco` cell is keyed
+//! `<scenario>+cocco` ([`cell_id`]), so the two never pool into one
+//! scenario and every pre-existing cell hash is unchanged. The
 //! remaining lines override [`SearchConfig`] knobs (defaults apply when
 //! absent): `effort`, `t0`, `alpha`, `allocator_step`,
 //! `max_allocator_iters`, `stage1_cap`, `stage2_cap`, `link_cuts` (0|1),
-//! `time_budget` (seconds), and `weights <energy_exp> <delay_exp>`.
-//! `seeds` lists the seed portfolio (default: the `SearchConfig` default
-//! seed); the first seed also becomes `config.seed`, so a single-seed
-//! experiment equals a plain `Scheduler::new(..).config(cfg).run()`.
-//! `threads <auto|seq|N>` sets the [`Parallelism`] policy of the run
-//! (default `auto`); it changes wall-clock only — results and ledger
-//! bytes are bit-identical across policies, and the thread count is
-//! deliberately **not** an input to [`cell_hash`](crate::cell_hash).
+//! and `weights <energy_exp> <delay_exp>`. `seeds` lists the seed
+//! portfolio (default: the `SearchConfig` default seed); the first seed
+//! also becomes `config.seed`, so a single-seed experiment equals a
+//! plain `Scheduler::new(..).config(cfg).run()`. `threads
+//! <auto|seq|N>` sets the [`Parallelism`] policy of the run (default
+//! `auto`); it changes wall-clock only — results and ledger bytes are
+//! bit-identical across policies, and the thread count is deliberately
+//! **not** an input to [`cell_hash`](crate::cell_hash).
+//!
+//! The former `time_budget` directive is a parse error: a wall-clock
+//! stage budget made outcomes depend on host speed, so a ledger row
+//! could not be reproduced from its key.
 
 use std::fmt::Write as _;
 
 use soma_arch::HardwareConfig;
 use soma_model::{zoo, Network};
-use soma_search::{Parallelism, SearchConfig};
+use soma_search::{Parallelism, SchedulerKind, SearchConfig};
 
 use crate::error::{body_lines, SpecError};
 use crate::hardware::{HardwareSpec, HwField, Preset};
 use crate::registry::{lookup, scenario_id, Scenario};
 
 /// A parsed experiment description. Obtain one with [`read_experiment`],
-/// expand it with [`cells`](Self::cells), and run each cell with
-/// `Scheduler::new(&cell.net, &cell.hw).config(spec.config.clone())
-/// .seeds(spec.seeds.clone()).run()`.
+/// expand it with [`scheduled_cells`](Self::scheduled_cells), and run
+/// each `(kind, cell)` with `kind.scheduler(&cell.net, &cell.hw)
+/// .config(spec.config.clone()).seeds(spec.seeds.clone()).run()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Experiment name (keys output files and logs).
@@ -57,6 +69,9 @@ pub struct ExperimentSpec {
     pub hardware: Vec<HardwareSpec>,
     /// Grid axis: batch sizes (defaults to `[1]` when the grid is used).
     pub batches: Vec<u32>,
+    /// The searches every scenario runs, in cell order (`scheduler`
+    /// directive, default `[Soma]`).
+    pub schedulers: Vec<SchedulerKind>,
     /// Seed portfolio (first seed is also `config.seed`).
     pub seeds: Vec<u64>,
     /// Search configuration after overrides.
@@ -85,10 +100,52 @@ pub struct ExperimentCell {
     pub hw: HardwareConfig,
 }
 
+/// The cell id of a scenario under one search: the bare scenario id for
+/// [`SchedulerKind::Soma`] and `<scenario>+<kind>` otherwise.
+pub fn cell_id(scenario: &str, kind: SchedulerKind) -> String {
+    match kind {
+        SchedulerKind::Soma => scenario.to_string(),
+        other => format!("{scenario}+{other}"),
+    }
+}
+
+/// Splits a cell id into its scenario id and search — the inverse of
+/// [`cell_id`]. Ids without a known `+<kind>` suffix are SoMa cells.
+pub fn split_cell_id(id: &str) -> (&str, SchedulerKind) {
+    match id.rsplit_once('+') {
+        Some((scenario, kind)) => match kind.parse() {
+            Ok(kind) if kind != SchedulerKind::Soma => (scenario, kind),
+            _ => (id, SchedulerKind::Soma),
+        },
+        None => (id, SchedulerKind::Soma),
+    }
+}
+
 impl ExperimentSpec {
     /// Expands the experiment into its cells: explicit scenarios first,
-    /// then the workload × hardware × batch grid in file order.
+    /// then the workload × hardware × batch grid in file order, each
+    /// scenario once per [`schedulers`](Self::schedulers) entry.
     pub fn cells(&self) -> Vec<ExperimentCell> {
+        self.scheduled_cells().into_iter().map(|(_, cell)| cell).collect()
+    }
+
+    /// [`cells`](Self::cells), each paired with the search it runs.
+    pub fn scheduled_cells(&self) -> Vec<(SchedulerKind, ExperimentCell)> {
+        let mut out = Vec::new();
+        let Some((&last, rest)) = self.schedulers.split_last() else { return out };
+        for cell in self.scenario_cells() {
+            for &kind in rest {
+                out.push((kind, ExperimentCell { id: cell_id(&cell.id, kind), ..cell.clone() }));
+            }
+            // The last search takes the cell itself: no network clone on
+            // the common one-search spec.
+            out.push((last, ExperimentCell { id: cell_id(&cell.id, last), ..cell }));
+        }
+        out
+    }
+
+    /// One cell per scenario, keyed by its scenario id.
+    fn scenario_cells(&self) -> Vec<ExperimentCell> {
         let mut out: Vec<ExperimentCell> = self.scenarios.iter().map(Scenario::cell).collect();
         let batches: &[u32] = if self.batches.is_empty() { &[1] } else { &self.batches };
         for workload in &self.workloads {
@@ -145,6 +202,11 @@ pub fn write_experiment(spec: &ExperimentSpec) -> String {
     }
     let _ = writeln!(
         out,
+        "scheduler {}",
+        spec.schedulers.iter().map(|k| k.name()).collect::<Vec<_>>().join(" ")
+    );
+    let _ = writeln!(
+        out,
         "seeds {}",
         spec.seeds.iter().map(u64::to_string).collect::<Vec<_>>().join(" ")
     );
@@ -158,7 +220,6 @@ pub fn write_experiment(spec: &ExperimentSpec) -> String {
     let _ = writeln!(out, "stage1_cap {}", c.stage1_cap);
     let _ = writeln!(out, "stage2_cap {}", c.stage2_cap);
     let _ = writeln!(out, "link_cuts {}", u8::from(c.link_cuts));
-    let _ = writeln!(out, "time_budget {}", c.stage_time_budget_secs);
     let _ = writeln!(out, "threads {}", spec.parallelism);
     out.push_str("end\n");
     out
@@ -180,6 +241,7 @@ pub fn read_experiment(text: &str) -> Result<ExperimentSpec, SpecError> {
     let mut workloads: Vec<String> = Vec::new();
     let mut hardware: Vec<HardwareSpec> = Vec::new();
     let mut batches: Vec<u32> = Vec::new();
+    let mut schedulers: Vec<SchedulerKind> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
     let mut config = SearchConfig::default();
     let mut parallelism = Parallelism::Auto;
@@ -284,6 +346,27 @@ pub fn read_experiment(text: &str) -> Result<ExperimentSpec, SpecError> {
                     seeds.push(s.parse("an unsigned integer seed")?);
                 }
             }
+            "scheduler" => {
+                let [_, rest @ ..] = &toks[..] else { unreachable!("head is toks[0]") };
+                if rest.is_empty() {
+                    return Err(head.err("expected `scheduler <soma|cocco>...`"));
+                }
+                seen("scheduler", head.line, head.col)?;
+                for k in rest {
+                    let kind: SchedulerKind = k.text.parse().map_err(|e: String| k.err(e))?;
+                    if schedulers.contains(&kind) {
+                        return Err(k.err(format!("duplicate scheduler `{kind}`")));
+                    }
+                    schedulers.push(kind);
+                }
+            }
+            "time_budget" => {
+                return Err(head.err(
+                    "`time_budget` was removed: a wall-clock stage budget made outcomes depend \
+                     on host speed, so a cached cell could not be reproduced from its key; \
+                     bound the search with `effort`, `stage1_cap` and `stage2_cap`",
+                ));
+            }
             "threads" => {
                 let [_, value] = toks[..] else {
                     return Err(head.err("expected `threads <auto|seq|N>`"));
@@ -312,8 +395,7 @@ pub fn read_experiment(text: &str) -> Result<ExperimentSpec, SpecError> {
             | "max_allocator_iters"
             | "stage1_cap"
             | "stage2_cap"
-            | "link_cuts"
-            | "time_budget") => {
+            | "link_cuts") => {
                 let [_, value] = toks[..] else {
                     return Err(head.err(format!("expected `{key} <value>`")));
                 };
@@ -366,15 +448,6 @@ pub fn read_experiment(text: &str) -> Result<ExperimentSpec, SpecError> {
                         }
                         config.link_cuts = v == 1;
                     }
-                    "time_budget" => {
-                        seen("time_budget", head.line, head.col)?;
-                        config.stage_time_budget_secs = value.parse("seconds")?;
-                        if !config.stage_time_budget_secs.is_finite()
-                            || config.stage_time_budget_secs < 0.0
-                        {
-                            return Err(value.err("`time_budget` must be finite and >= 0"));
-                        }
-                    }
                     _ => unreachable!("guarded by the outer match arm"),
                 }
             }
@@ -396,8 +469,21 @@ pub fn read_experiment(text: &str) -> Result<ExperimentSpec, SpecError> {
     if seeds.is_empty() {
         seeds.push(config.seed);
     }
+    if schedulers.is_empty() {
+        schedulers.push(SchedulerKind::Soma);
+    }
     config.seed = seeds[0];
-    Ok(ExperimentSpec { name, scenarios, workloads, hardware, batches, seeds, config, parallelism })
+    Ok(ExperimentSpec {
+        name,
+        scenarios,
+        workloads,
+        hardware,
+        batches,
+        schedulers,
+        seeds,
+        config,
+        parallelism,
+    })
 }
 
 #[cfg(test)]
@@ -499,6 +585,71 @@ mod tests {
         assert!(e.to_string().contains("duplicate `threads`"), "{e}");
         let e = read_experiment(&format!("{base}threads\nend\n")).unwrap_err();
         assert!(e.to_string().contains("expected `threads"), "{e}");
+    }
+
+    #[test]
+    fn scheduler_directive_expands_each_scenario_per_search() {
+        use SchedulerKind::Soma;
+        let base = "soma-experiment v1\nname x\nscenario fig2@edge/b1\nworkload fig4\n\
+                    hardware edge\n";
+        let plain = read_experiment(&format!("{base}end\n")).unwrap();
+        assert_eq!(plain.schedulers, [SchedulerKind::Soma], "default");
+        let both = read_experiment(&format!("{base}scheduler soma cocco\nend\n")).unwrap();
+        let cells = both.scheduled_cells();
+        let got: Vec<(SchedulerKind, &str)> =
+            cells.iter().map(|(k, c)| (*k, c.id.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (SchedulerKind::Soma, "fig2@edge/b1"),
+                (SchedulerKind::Cocco, "fig2@edge/b1+cocco"),
+                (SchedulerKind::Soma, "fig4@edge/b1"),
+                (SchedulerKind::Cocco, "fig4@edge/b1+cocco"),
+            ]
+        );
+        // A soma cell is exactly the cell of a spec without the directive.
+        let soma_ids: Vec<String> = plain.cells().into_iter().map(|c| c.id).collect();
+        assert_eq!(soma_ids, ["fig2@edge/b1", "fig4@edge/b1"]);
+        assert_eq!(cells[1].1.net.name(), "fig2");
+        for (kind, cell) in &cells {
+            let (scenario, k) = split_cell_id(&cell.id);
+            assert_eq!(k, *kind);
+            assert_eq!(cell_id(scenario, k), cell.id);
+        }
+        // A hardware name may contain `+`: only a known kind splits off.
+        assert_eq!(split_cell_id("fig2@a+b/b1"), ("fig2@a+b/b1", Soma));
+        assert_eq!(split_cell_id("fig2@edge/b1+soma"), ("fig2@edge/b1+soma", Soma));
+        // Listed order is cell order, and the writer round-trips it.
+        let rev = read_experiment(&format!("{base}scheduler cocco\nend\n")).unwrap();
+        assert_eq!(rev.cells()[0].id, "fig2@edge/b1+cocco");
+        for spec in [plain, both, rev] {
+            assert_eq!(read_experiment(&write_experiment(&spec)).unwrap(), spec);
+        }
+    }
+
+    #[test]
+    fn scheduler_directive_rejects_bad_values() {
+        let base = "soma-experiment v1\nname x\nscenario fig2@edge/b1\n";
+        let e = read_experiment(&format!("{base}scheduler soma magic\nend\n")).unwrap_err();
+        assert_eq!((e.line, e.col), (4, 16));
+        assert!(e.to_string().contains("unknown scheduler `magic`"), "{e}");
+        let e = read_experiment(&format!("{base}scheduler soma soma\nend\n")).unwrap_err();
+        assert!(e.to_string().contains("duplicate scheduler `soma`"), "{e}");
+        let e = read_experiment(&format!("{base}scheduler\nend\n")).unwrap_err();
+        assert!(e.to_string().contains("expected `scheduler"), "{e}");
+        let e =
+            read_experiment(&format!("{base}scheduler soma\nscheduler cocco\nend\n")).unwrap_err();
+        assert!(e.to_string().contains("duplicate `scheduler`"), "{e}");
+    }
+
+    #[test]
+    fn removed_time_budget_directive_is_a_located_error_saying_why() {
+        let text = "soma-experiment v1\nname x\nscenario fig2@edge/b1\ntime_budget 5\nend\n";
+        let e = read_experiment(text).unwrap_err();
+        assert_eq!((e.line, e.col), (4, 1));
+        let msg = e.to_string();
+        assert!(msg.contains("`time_budget` was removed"), "{msg}");
+        assert!(msg.contains("host speed"), "{msg}");
     }
 
     #[test]

@@ -64,12 +64,18 @@ pub fn hardware_fingerprint(hw: &HardwareConfig) -> String {
 }
 
 /// Canonical `key=value` rendering of a complete search configuration.
+///
+/// The trailing `time_budget=0` is **frozen key text**, not a field: it
+/// renders the removed wall-clock stage budget at its only reproducible
+/// value, so every cell hash — and with it every committed ledger and
+/// golden — stays byte-stable. Never drop or change it without bumping
+/// [`ENGINE_VERSION`](soma_search::ENGINE_VERSION).
 pub fn config_fingerprint(cfg: &SearchConfig) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
         "energy_exp={};delay_exp={};seed={};effort={};t0={};alpha={};allocator_step={};\
-         max_allocator_iters={};stage1_cap={};stage2_cap={};link_cuts={};time_budget={}",
+         max_allocator_iters={};stage1_cap={};stage2_cap={};link_cuts={};time_budget=0",
         cfg.weights.energy_exp,
         cfg.weights.delay_exp,
         cfg.seed,
@@ -81,7 +87,6 @@ pub fn config_fingerprint(cfg: &SearchConfig) -> String {
         cfg.stage1_cap,
         cfg.stage2_cap,
         u8::from(cfg.link_cuts),
-        cfg.stage_time_budget_secs,
     );
     s
 }
@@ -212,6 +217,17 @@ mod tests {
         let cloud = HardwareConfig::cloud();
         assert_ne!(a, inline_scenario_id("soma-network v1\nname a\n...", &cloud), "hw perturbs");
         assert!(a.starts_with("inline-") && a.ends_with("@edge-16tops"), "{a}");
+    }
+
+    #[test]
+    fn the_default_config_fingerprint_is_frozen() {
+        // Cell hashes key every committed ledger: this text must not
+        // drift, including the frozen `time_budget=0` of a removed knob.
+        assert_eq!(
+            config_fingerprint(&SearchConfig::default()),
+            "energy_exp=1;delay_exp=1;seed=5262657;effort=1;t0=0.2;alpha=4;allocator_step=0.1;\
+             max_allocator_iters=8;stage1_cap=500000;stage2_cap=2000000;link_cuts=0;time_budget=0"
+        );
     }
 
     #[test]

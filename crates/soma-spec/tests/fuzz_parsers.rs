@@ -115,6 +115,9 @@ const TOKENS: &[&str] = &[
     "stage2_cap",
     "link_cuts",
     "time_budget",
+    "scheduler",
+    "soma",
+    "cocco",
     "fig2",
     "fig4",
     "resnet50",
@@ -289,7 +292,12 @@ fn hostile_specs_error_instead_of_panicking() {
         "soma-experiment v1\nname x\nscenario fig2@edge/b1\nt0 inf\nend\n",
         "soma-experiment v1\nname x\nscenario fig2@edge/b1\nallocator_step NaN\nend\n",
         "soma-experiment v1\nname x\nscenario fig2@edge/b1\nweights NaN 1\nend\n",
+        // The removed wall-clock budget, at any value.
         "soma-experiment v1\nname x\nscenario fig2@edge/b1\ntime_budget -inf\nend\n",
+        "soma-experiment v1\nname x\nscenario fig2@edge/b1\ntime_budget 0\nend\n",
+        // Unknown and repeated searches.
+        "soma-experiment v1\nname x\nscenario fig2@edge/b1\nscheduler rayon\nend\n",
+        "soma-experiment v1\nname x\nscenario fig2@edge/b1\nscheduler cocco cocco\nend\n",
     ];
     for text in cases {
         let net = read_network(text).err();

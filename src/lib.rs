@@ -54,8 +54,8 @@ pub mod prelude {
     pub use soma_core::{Encoding, ParsedSchedule};
     pub use soma_model::{FmapShape, LayerId, Network, NetworkBuilder};
     pub use soma_search::{
-        schedule, CostWeights, Parallelism, Scheduler, SearchConfig, SearchEvent, SearchOutcome,
-        SearchSession, StepOutcome,
+        CostWeights, Parallelism, Scheduler, SchedulerKind, SearchConfig, SearchEvent,
+        SearchOutcome, SearchSession, StepOutcome,
     };
     pub use soma_sim::{evaluate, EvalReport};
     pub use soma_spec::{read_experiment, read_network, write_network, ExperimentSpec, SpecError};
